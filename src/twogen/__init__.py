@@ -15,7 +15,6 @@ from .arith import (
     factorize,
     is_prime,
     mod_inverse,
-    mod_pow,
     primitive_root,
     radical,
 )
@@ -28,7 +27,6 @@ from .counting import (
 )
 from .factor_cache import FactorCache, ParseError
 from .indicators import (
-    CompositeIndicator,
     Indicator,
     decompose,
     expand_power,

@@ -66,15 +66,6 @@ class Factorization:
             raise ValueError(f"factors multiply to {product}, not {self.value}")
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, as a residue in [0, modulus)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {exp}")
-    return pow(base, exp, modulus)
-
-
 def mod_inverse(a: int, modulus: int) -> int:
     """Residue b with a*b == 1 mod modulus; NotInvertible if gcd(a, modulus) > 1."""
     if modulus < 2:

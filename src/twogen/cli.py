@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a verification sweep found a mismatch, 2 usage or
 domain error, 3 a computation was blocked (factoring budget exhausted or a
-derivation blocked on an unfactored modulus).  All output is ASCII and all
+derivation blocked on an unfactored number).  All output is ASCII and all
 randomized internals are deterministically seeded, so identical invocations
 produce identical bytes.
 """
@@ -303,13 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="bound for prime sweeps (default 2000)",
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="reserved; sweeps at desk scale run sequentially",
-    )
 
     parser = argparse.ArgumentParser(
         prog="twogen",
@@ -391,9 +384,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cache = FactorCache.load(args.factor_cache)
         code = args.func(args, cache)

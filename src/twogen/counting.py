@@ -44,6 +44,12 @@ def surviving_exponents(p: int, k: int) -> list[int]:
         raise ValueError(f"exponent must be >= 1, got {k}")
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
+    return _surviving_exponents(p, k)
+
+
+def _surviving_exponents(p: int, k: int) -> list[int]:
+    """surviving_exponents without validation, for sweeps over sieved odd
+    primes that would otherwise pay a primality test per prime."""
     powers = [1]
     for _ in range(k):
         powers.append(powers[-1] * p)

@@ -45,28 +45,13 @@ def _sort_key(x: Indicator) -> tuple[int, int]:
     return (x.q, x.a)
 
 
-@dataclass(frozen=True)
-class CompositeIndicator:
-    """Indicator mod arbitrary q >= 2, expanded over q's distinct primes."""
-
-    a: int
-    q: int
-    factors: tuple[Indicator, ...]
-
-    def __call__(self, n: int) -> int:
-        result = 1
-        for x in self.factors:
-            result *= x(n)
-        return result
-
-
-def decompose(a: int, q: int, cache=None) -> CompositeIndicator:
-    """Split the indicator mod q into one prime-modulus factor per prime of q."""
+def decompose(a: int, q: int, cache=None) -> tuple[Indicator, ...]:
+    """Split the indicator of a mod q (any q >= 2) into one prime-modulus
+    factor per distinct prime of q; their product is the indicator."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     primes = [p for p, _ in factorize(q, cache).factors]
-    factors = tuple(Indicator(a % p, p) for p in sorted(primes))
-    return CompositeIndicator(a, q, factors)
+    return tuple(Indicator(a % p, p) for p in sorted(primes))
 
 
 def strip_exponent(x: Indicator, s: int) -> tuple[Indicator, int]:
@@ -133,7 +118,7 @@ def reduce_power(a: int, q: int, s: int, cache=None) -> tuple[Indicator, ...]:
     if s < 1:
         raise ValueError(f"exponent must be >= 1, got {s}")
     collected: set[Indicator] = set()
-    for x in decompose(a, q, cache).factors:
+    for x in decompose(a, q, cache):
         if s > 1:
             x, t = strip_exponent(x, s)
             collected.update(expand_power(x, t))

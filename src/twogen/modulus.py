@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import FactorizationTimeout, Factorization, factorize, odd_primes_up_to
-from .counting import count_prime_power
+from .counting import _surviving_exponents
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
             continue
         checked += 1
         residue = p % m
-        value = count_prime_power(p, k)
+        value = len(_surviving_exponents(p, k))
         expected = classes.setdefault(residue, value)
         if value != expected:
             violations.append((p, residue, value, expected))

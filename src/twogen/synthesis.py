@@ -15,20 +15,30 @@ factored, or case-table form.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .arith import FactorizationTimeout, odd_primes_up_to
-from .counting import count_prime_power
+from .counting import _surviving_exponents
 from .indicators import Indicator, _sort_key, reduce_power
 from .reduction import normalize_target, reduce
 
 
 class SynthesisBlocked(RuntimeError):
-    """A modulus needed by the derivation could not be factored in budget."""
+    """A number the derivation needed could not be factored in budget.
 
-    def __init__(self, k: int, modulus: int):
-        super().__init__(f"derivation for k={k} blocked on unfactored modulus {modulus}")
+    `i` is the exponent row being derived and `modulus` the number whose
+    factorization ran out: the row modulus itself, or q - 1 for one of its
+    primes q when an indicator is split over the roots of a power.
+    """
+
+    def __init__(self, k: int, i: int, modulus: int):
+        super().__init__(
+            f"derivation for k={k} blocked at row i={i} on unfactored number {modulus}"
+        )
         self.k = k
+        self.i = i
         self.modulus = modulus
 
 
@@ -129,7 +139,7 @@ def synthesize_rows(k: int, cache=None) -> tuple[SynthesisRow, ...]:
         try:
             factors = reduce_power(residue, c, form.delta, cache)
         except FactorizationTimeout as exc:
-            raise SynthesisBlocked(k, c) from exc
+            raise SynthesisBlocked(k, i, exc.n) from exc
         rows.append(SynthesisRow(i, form.delta, residue, c, factors))
     # i = k: gcd(p^k + 1, 2p^0 + 1) = gcd(p^k + 1, 3), an indicator of -1 mod 3.
     rows.append(SynthesisRow(k, k, 2, 3, reduce_power(2, 3, k, cache)))
@@ -151,37 +161,26 @@ def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
     for p in odd_primes_up_to(prime_bound):
         checked += 1
         got = formula.evaluate(p)
-        want = count_prime_power(p, formula.k)
+        want = len(_surviving_exponents(p, formula.k))
         if got != want:
             mismatches.append((p, got, want))
     return FormulaCheck(formula.k, prime_bound, checked, tuple(mismatches))
 
 
-def _patterns(formula: CountingFormula) -> tuple[list[int], dict[int, list[int | None]]]:
-    """Per-prime evaluation patterns covering all residues coprime to the
-    natural modulus: one pattern per listed (nonzero) residue, plus None for
-    "avoids every listed residue" when such a coprime residue exists."""
-    qs = sorted({x.q for term in formula.terms for x in term.factors})
-    patterns: dict[int, list[int | None]] = {}
-    for q in qs:
-        listed = sorted({x.a for term in formula.terms for x in term.factors if x.q == q})
-        opts: list[int | None] = [a for a in listed if a % q != 0]
-        if q - 1 > len(opts):
-            opts.append(None)
-        patterns[q] = opts
-    return qs, patterns
-
-
-def _pattern_value(formula: CountingFormula, assign: dict[int, int | None]) -> int:
-    total = formula.constant
-    for term in formula.terms:
-        product = 1
+def _residue_model(terms) -> dict[int, tuple[list[int], list[int], bool]]:
+    """Per prime of the terms, in increasing order: every residue its factors
+    list, the listed units (nonzero residues), and whether the complement
+    cell -- the units mod q that avoid every listed residue -- is nonempty."""
+    listed: dict[int, set[int]] = {}
+    for term in terms:
         for x in term.factors:
-            if assign[x.q] == x.a:
-                product = 0
-                break
-        total += product
-    return total
+            listed.setdefault(x.q, set()).add(x.a)
+    model = {}
+    for q in sorted(listed):
+        residues = sorted(listed[q])
+        units = [a for a in residues if a != 0]
+        model[q] = (residues, units, q - 1 > len(units))
+    return model
 
 
 def minimal_modulus(formula: CountingFormula) -> int:
@@ -189,28 +188,42 @@ def minimal_modulus(formula: CountingFormula) -> int:
     constant on every residue class mod m intersected with the residues
     coprime to the natural modulus.
 
-    Residues coprime to the (square-free) natural modulus split into finitely
-    many evaluation patterns per prime, so scanning pattern combinations is an
-    exact, exhaustive version of scanning the coprime residues themselves: the
-    answer is the product of the primes the value actually depends on.
+    Write each factor X(a,q) as 1 - e_{q,a}, with e_{q,a} = [p = a mod q].
+    On p coprime to the natural modulus e_{q,0} = 0, e_{q,a}*e_{q,b} = 0 for
+    a != b, and when the listed units cover every unit mod q one of their
+    indicators equals 1 minus the sum of the others.  Eliminating those
+    leaves monomials in indicators that are linearly independent functions
+    of p, so the formula's expansion over them is unique, and it depends on
+    the class of p mod q exactly when some monomial in some e_{q,a} keeps a
+    nonzero coefficient.  The answer is the product of those primes.
     """
-    qs, patterns = _patterns(formula)
-    result = 1
-    for q in qs:
-        others = [p for p in qs if p != q]
-        depends = False
-        for combo in itertools.product(*(patterns[p] for p in others)):
-            assign = dict(zip(others, combo))
-            values = set()
-            for pattern in patterns[q]:
-                assign[q] = pattern
-                values.add(_pattern_value(formula, assign))
-            if len(values) > 1:
-                depends = True
-                break
-        if depends:
-            result *= q
-    return result
+    # For each prime whose listed units cover every unit: the last of them,
+    # and the units whose indicators sum to 1 minus its indicator.
+    eliminated = {
+        q: (units[-1], units[:-1])
+        for q, (_, units, open_) in _residue_model(formula.terms).items()
+        if not open_
+    }
+    # A monomial is a tuple of (q, a) pairs, at most one per prime.
+    coefficients: Counter[tuple] = Counter()
+    for term in formula.terms:
+        monomials = {(): 1}
+        for q, group in itertools.groupby(term.factors, key=lambda x: x.q):
+            # the product of the group's (1 - e_{q,a}) is 1 - sum of the e_{q,a}
+            last, others = eliminated.get(q, (None, ()))
+            linear = Counter({(): 1})
+            for x in group:
+                if x.a == last:
+                    linear[()] -= 1
+                    for b in others:
+                        linear[((q, b),)] += 1
+                elif x.a != 0:
+                    linear[((q, x.a),)] -= 1
+            monomials = {
+                m + e: c * d for m, c in monomials.items() for e, d in linear.items()
+            }
+        coefficients.update(monomials)
+    return math.prod({q for m, c in coefficients.items() if c for q, _ in m})
 
 
 # --- rendering ---------------------------------------------------------
@@ -260,21 +273,16 @@ def _signature_table(constant: int, term_counts) -> tuple[list[int], list[tuple[
     """Value of constant + sum(term_counts) per residue-signature cell.
 
     Cells range over, for each involved prime, either one of its listed
-    residues or the complement of all of them; '!' marks the complement.
+    units or the complement of all its listed residues; '!' marks the
+    complement.
     """
-    primes = sorted({x.q for term, _ in term_counts for x in term.factors})
-    listed = {
-        q: sorted({x.a for term, _ in term_counts for x in term.factors if x.q == q})
-        for q in primes
-    }
+    model = _residue_model(term for term, _ in term_counts)
     options: dict[int, list[tuple[str, int | None]]] = {}
-    for q in primes:
-        opts: list[tuple[str, int | None]] = [
-            (str(a), a) for a in listed[q] if a % q != 0
-        ]
-        if q - 1 > len(opts):
-            opts.append(("!" + "/".join(str(a) for a in listed[q]), None))
-        options[q] = opts
+    for q, (residues, units, open_) in model.items():
+        options[q] = [(str(a), a) for a in units]
+        if open_:
+            options[q].append(("!" + "/".join(str(a) for a in residues), None))
+    primes = list(model)
     rows = []
     for combo in itertools.product(*(options[q] for q in primes)):
         assign = {q: value for q, (_, value) in zip(primes, combo)}

@@ -12,24 +12,10 @@ from twogen.arith import (
     factorize,
     is_prime,
     mod_inverse,
-    mod_pow,
     primes_up_to,
     primitive_root,
     radical,
 )
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 11, 17) == 8  # 2^11 = 2048 = 120*17 + 8
-    assert mod_pow(5, 0, 7) == 1
-    assert mod_pow(3, 1, 5) == 3
-
-
-def test_mod_pow_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 5)
 
 
 def test_mod_inverse_examples():

@@ -214,8 +214,6 @@ def test_usage_errors(capsys, tmp_path):
     assert cli.main([]) == 2
     code, _, _ = run(capsys, tmp_path, "modulus", "--k", "0")
     assert code == 2
-    code, _, err = run(capsys, tmp_path, "modulus", "--k", "3", "--threads", "0")
-    assert code == 2
     code, _, err = run(capsys, tmp_path, "enumerate", "--genus", "30")
     assert code == 2
     assert "cap" in err

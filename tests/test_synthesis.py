@@ -1,8 +1,15 @@
-import pytest
+import itertools
+import math
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from twogen import arith
 from twogen import indicators as indicators_mod
 from twogen.arith import FactorizationTimeout
 from twogen.counting import count_prime_power
+from twogen.factor_cache import FactorCache
 from twogen.indicators import Indicator
 from twogen.modulus import modulus_of
 from twogen.synthesis import (
@@ -104,6 +111,22 @@ def test_synthesis_blocked(monkeypatch):
     assert info.value.k == 9
 
 
+def test_synthesis_blocked_names_the_number_that_failed(monkeypatch):
+    # Row i=8 of k=10 is gcd(p^2 - 8, 17): 17 itself factors, but splitting
+    # X(8,17) over the square roots of 8 needs q - 1 = 16 factored.
+    real = arith.factorize
+
+    def flaky(n, cache=None, **kwargs):
+        if n == 16:
+            raise FactorizationTimeout(n, n)
+        return real(n, cache, **kwargs)
+
+    monkeypatch.setattr(arith, "factorize", flaky)
+    with pytest.raises(SynthesisBlocked) as info:
+        synthesize(10)
+    assert (info.value.k, info.value.i, info.value.modulus) == (10, 8, 16)
+
+
 def test_natural_modulus():
     assert GOLDEN[9].natural_modulus == 3 * 5 * 11 * 17 * 43 * 257
     assert GOLDEN[2].natural_modulus == 1
@@ -132,7 +155,7 @@ def _minimal_modulus_brute(formula):
     n = formula.natural_modulus
     if n == 1:
         return 1
-    coprime = [r for r in range(1, n + 1) if __import__("math").gcd(r, n) == 1]
+    coprime = [r for r in range(1, n + 1) if math.gcd(r, n) == 1]
     values = {r: formula.evaluate(r) for r in coprime}
     for m in divisors(factorize(n)):
         classes = {}
@@ -147,10 +170,94 @@ def _minimal_modulus_brute(formula):
     raise AssertionError("the natural modulus itself always works")
 
 
+def _minimal_modulus_pattern_scan(formula):
+    """The former minimal_modulus: per prime q, scan every combination of the
+    other primes' evaluation patterns (one per listed unit, plus None for
+    "avoids every listed residue" when such a unit exists) and test whether
+    changing the pattern of q changes the value.  Exponential in the number
+    of primes; kept as an oracle at sizes where it is cheap."""
+    qs = sorted({x.q for term in formula.terms for x in term.factors})
+    patterns = {}
+    for q in qs:
+        listed = sorted({x.a for term in formula.terms for x in term.factors if x.q == q})
+        opts = [a for a in listed if a % q != 0]
+        if q - 1 > len(opts):
+            opts.append(None)
+        patterns[q] = opts
+
+    def value(assign):
+        total = formula.constant
+        for term in formula.terms:
+            if all(assign[x.q] != x.a for x in term.factors):
+                total += 1
+        return total
+
+    result = 1
+    for q in qs:
+        others = [r for r in qs if r != q]
+        for combo in itertools.product(*(patterns[r] for r in others)):
+            assign = dict(zip(others, combo))
+            values = {value({**assign, q: pattern}) for pattern in patterns[q]}
+            if len(values) > 1:
+                result *= q
+                break
+    return result
+
+
 def test_minimal_modulus_matches_brute_force():
     for k in range(1, 6):
         formula = synthesize(k)
         assert minimal_modulus(formula) == _minimal_modulus_brute(formula)
+
+
+# The pattern scan takes a second or more at k = 17, 19, 23, 25-29 and 31 on.
+PATTERN_SCAN_KS = (*range(1, 17), 18, 20, 21, 22, 24, 30)
+
+
+def test_minimal_modulus_matches_pattern_scan():
+    cache = FactorCache()
+    for k in PATTERN_SCAN_KS:
+        formula = synthesize(k, cache)
+        assert minimal_modulus(formula) == _minimal_modulus_pattern_scan(formula), k
+
+
+def test_minimal_modulus_beyond_the_pattern_scan():
+    # The scan needs 2^24 pattern combinations here; the normal form finds
+    # that the value depends on every prime of the natural modulus.
+    formula = synthesize(40)
+    assert minimal_modulus(formula) == formula.natural_modulus
+
+
+@st.composite
+def small_formulas(draw):
+    """Formulas over the primes 2, 3, 5 and 7, whose factors may sit on the
+    class 0 or list every unit of a prime."""
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        factors = []
+        for q in draw(st.sets(st.sampled_from((2, 3, 5, 7)), min_size=1)):
+            residues = draw(st.sets(st.integers(0, q - 1), min_size=1))
+            factors += [Indicator(a, q) for a in residues]
+        terms.append(ProductTerm(tuple(factors)))
+    constant = draw(st.integers(1, 3))
+    return CountingFormula(constant + len(terms) - 1, constant, tuple(terms))
+
+
+def _formula(constant, *terms):
+    products = tuple(ProductTerm(tuple(Indicator(a, q) for a, q in t)) for t in terms)
+    return CountingFormula(constant + len(products) - 1, constant, products)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_formulas())
+# every unit of 5 listed, one of them beside a class-0 factor
+@example(_formula(1, [(1, 5)], [(2, 5), (0, 3)], [(3, 5), (4, 5)], [(2, 3), (4, 5)]))
+# X(1,5)+X(2,5)+X(3,5)+X(4,5) = 3 off the class 0: no dependence on 5
+@example(_formula(1, [(1, 5)], [(2, 5)], [(3, 5)], [(4, 5)], [(1, 7), (0, 5)]))
+# X(1,2) vanishes on odd p, and X(0,7) is 1 on p coprime to 7
+@example(_formula(2, [(1, 2), (3, 7)], [(0, 7), (2, 3)]))
+def test_minimal_modulus_matches_residue_scan(formula):
+    assert minimal_modulus(formula) == _minimal_modulus_brute(formula)
 
 
 def test_render_flat():
