@@ -25,7 +25,6 @@ from .synthesis import (
     minimal_modulus,
     render,
     synthesize,
-    synthesize_rows,
     verify_formula,
 )
 
@@ -215,7 +214,7 @@ def cmd_derive(args, cache) -> int:
         )
         return EXIT_OK
     if args.rows:
-        for row in synthesize_rows(args.k, cache):
+        for row in formula.rows:
             lhs = f"gcd(p^{row.i}+1, 2p^{args.k - row.i}+1)"
             if row.modulus == 1:
                 rhs = "1"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import FactorizationTimeout, odd_primes_up_to
 from .counting import _surviving_exponents
@@ -28,9 +28,8 @@ from .reduction import normalize_target, reduce
 class SynthesisBlocked(RuntimeError):
     """A number the derivation needed could not be factored in budget.
 
-    `i` is the exponent row being derived and `modulus` the number whose
-    factorization ran out: the row modulus itself, or q - 1 for one of its
-    primes q when an indicator is split over the roots of a power.
+    `i` is the exponent row being derived and `modulus` its row modulus c,
+    the number whose factorization ran out.
     """
 
     def __init__(self, k: int, i: int, modulus: int):
@@ -77,12 +76,14 @@ class CountingFormula:
 
     Each of the k+1 exponent rows contributes exactly one summand, either 1
     (into the constant) or one product term, so
-    constant + len(terms) == k + 1.
+    constant + len(terms) == k + 1.  A derived formula keeps the rows it
+    came from in `rows`, which equality ignores.
     """
 
     k: int
     constant: int
     terms: tuple[ProductTerm, ...]
+    rows: tuple[SynthesisRow, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(sorted(self.terms, key=_term_key)))
@@ -151,7 +152,7 @@ def synthesize(k: int, cache=None) -> CountingFormula:
     rows = synthesize_rows(k, cache)
     constant = sum(1 for row in rows if not row.factors)
     terms = tuple(ProductTerm(row.factors) for row in rows if row.factors)
-    return CountingFormula(k, constant, terms)
+    return CountingFormula(k, constant, terms, rows)
 
 
 def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:

@@ -156,6 +156,24 @@ def test_derive_rows(capsys, tmp_path):
     assert "gcd(p^1 - 8, 129)" in out
 
 
+def test_derive_rows_derives_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = synthesis_mod.reduce_power
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis_mod, "reduce_power", counting)
+    counts = []
+    for extra in ((), ("--rows",)):
+        calls.clear()
+        code, _, _ = run(capsys, tmp_path, "derive", "--k", "9", *extra)
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_derive_json_schema(capsys, tmp_path):
     for k in range(1, 11):
         code, out, _ = run(capsys, tmp_path, "derive", "--k", str(k), "--json")

@@ -1,15 +1,35 @@
 import math
+import random
 
 import pytest
 
-from twogen.arith import primes_up_to
+from twogen.arith import primes_up_to, primitive_root
 from twogen.indicators import (
     Indicator,
+    _sort_key,
     decompose,
     expand_power,
     reduce_power,
     strip_exponent,
 )
+
+
+def _expand_power_coset_scan(x: Indicator, s: int) -> tuple[Indicator, ...]:
+    """The former expand_power, kept as an oracle: step g^(s*i) through all
+    (q-1)/s cosets of the smallest primitive root g until it hits a."""
+    q = x.q
+    if s == 1 or x.a == 0:
+        return (x,)
+    g = primitive_root(q)
+    cosets = (q - 1) // s
+    power = 1
+    multiplier = pow(g, s, q)
+    for i in range(cosets):
+        if power == x.a:
+            roots = [pow(g, i + j * cosets, q) for j in range(s)]
+            return tuple(sorted((Indicator(r, q) for r in roots), key=_sort_key))
+        power = power * multiplier % q
+    return ()
 
 
 def test_indicator_normalizes_residue():
@@ -123,6 +143,52 @@ def test_expand_power_exhaustive():
                     for f in factors:
                         product *= f(n)
                     assert Indicator(a, q)(n**s) == product
+
+
+def test_expand_power_matches_coset_scan():
+    for q in primes_up_to(200):
+        for s in range(1, q):
+            if (q - 1) % s != 0:
+                continue
+            for a in range(q):
+                x = Indicator(a, q)
+                assert expand_power(x, s) == _expand_power_coset_scan(x, s), (a, q, s)
+
+
+# Primes where the coset scan is out of reach.  q - 1 is 2^16 at the Fermat
+# prime 65537, 2^32 * 3 * 5 * 17 * 257 * 65537 at 2^64 - 2^32 + 1, and
+# 2^15 * 5 * 29 * 113 at 536903681; 2^61 - 2 has twelve distinct primes.
+LARGE_PRIMES = {
+    65537: (2, 4, 2**8, 2**12),
+    2**61 - 1: (2, 3, 6, 30, 2 * 3**2 * 5 * 7),
+    2**64 - 2**32 + 1: (2, 3, 5, 2**5, 2**10, 3 * 5 * 17),
+    536903681: (2, 4, 5, 2**13, 8 * 5 * 29),
+}
+
+
+def test_expand_power_large_primes():
+    for q, exponents in LARGE_PRIMES.items():
+        g = primitive_root(q)  # an s-th power for no s > 1
+        for s in exponents:
+            assert (q - 1) % s == 0, (q, s)
+            a = pow(123456789, s, q)
+            roots = [x.a for x in expand_power(Indicator(a, q), s)]
+            assert len(set(roots)) == s and roots == sorted(roots), (q, s)
+            assert all(pow(r, s, q) == a for r in roots), (q, s)
+            assert expand_power(Indicator(g, q), s) == (), (q, s)
+
+
+def test_expand_power_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    for _ in range(40):
+        q = sympy.nextprime(rng.randrange(2, 10 ** rng.randint(2, 30)))
+        exponents = [s for s in range(1, 65) if (q - 1) % s == 0]
+        s = rng.choice(exponents)
+        for a in (rng.randrange(1, q), pow(rng.randrange(1, q), s, q)):
+            got = [x.a for x in expand_power(Indicator(a, q), s)]
+            want = sympy.nthroot_mod(a, s, q, all_roots=True) or []
+            assert got == sorted(want), (a, q, s)
 
 
 def test_reduce_power_examples():

@@ -111,9 +111,10 @@ def test_synthesis_blocked(monkeypatch):
     assert info.value.k == 9
 
 
-def test_synthesis_blocked_names_the_number_that_failed(monkeypatch):
-    # Row i=8 of k=10 is gcd(p^2 - 8, 17): 17 itself factors, but splitting
-    # X(8,17) over the square roots of 8 needs q - 1 = 16 factored.
+def test_synthesis_never_factors_q_minus_1(monkeypatch):
+    # Row i=8 of k=10 is gcd(p^2 - 8, 17), split over the square roots of 8
+    # mod 17.  Root extraction factors only the exponent, never q - 1 = 16,
+    # so a derivation can block only on a row modulus.
     real = arith.factorize
 
     def flaky(n, cache=None, **kwargs):
@@ -122,9 +123,8 @@ def test_synthesis_blocked_names_the_number_that_failed(monkeypatch):
         return real(n, cache, **kwargs)
 
     monkeypatch.setattr(arith, "factorize", flaky)
-    with pytest.raises(SynthesisBlocked) as info:
-        synthesize(10)
-    assert (info.value.k, info.value.i, info.value.modulus) == (10, 8, 16)
+    monkeypatch.setattr(indicators_mod, "factorize", flaky)
+    assert synthesize(10) == GOLDEN[10]
 
 
 def test_natural_modulus():
