@@ -7,6 +7,15 @@ trial division up to a fixed bound, then Pollard rho with Brent's cycle
 detection under an iteration budget; exhausting the budget raises
 FactorizationTimeout instead of hanging, so a known factorization can be
 supplied through a cache (see factor_cache) as the escape hatch.
+
+Every large number this package factors is 2^m - 1 or 2^m + 1, so
+factorize recognises that form and uses the algebra of the Cunningham
+tables (Brillhart et al., Factorizations of b^n +- 1) before rho: the
+cofactor is split along the cyclotomic values Phi_d(2) and the
+Aurifeuillian halves of Phi_4o(2), and each piece is hunted with the map
+x^e + c, e = lcm(2, d), since the primes of Phi_d(2) are 1 mod e (Brent
+& Pollard, 1981).  The split and the map change only the speed; every
+prime is still proven by is_prime.
 """
 
 from __future__ import annotations
@@ -30,14 +39,17 @@ class NotInvertible(ValueError):
 
 
 class FactorizationTimeout(RuntimeError):
-    """The factoring budget ran out; carries the stubborn cofactor."""
+    """The factoring budget ran out; carries the stubborn cofactor and, when
+    known, the rho iterations spent on n before giving up."""
 
-    def __init__(self, n: int, cofactor: int):
+    def __init__(self, n: int, cofactor: int, iterations: int | None = None):
+        spent = "" if iterations is None else f" after {iterations} rho iterations"
         super().__init__(
-            f"could not factor {n}: budget exhausted on cofactor {cofactor}"
+            f"could not factor {n}: budget exhausted on cofactor {cofactor}{spent}"
         )
         self.n = n
         self.cofactor = cofactor
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -150,13 +162,19 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
-    """Hunt a nontrivial factor of odd composite n with Brent's rho.
+def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
+    """Hunt a nontrivial factor of odd composite n with Brent's rho on the
+    map x -> x^e + c.
 
-    Returns (factor_or_None, iterations_used).  Parameters are drawn from an
-    n-seeded RNG so results are reproducible run to run.
+    When every prime factor p of n has p = 1 (mod e), x^e takes only
+    (p-1)/e values mod p and the cycle is about sqrt(e-1) times shorter
+    (Brent & Pollard, 1981).  Each step is charged e.bit_length() - 1
+    iterations, the squarings in x^e, so the budget counts squarings for
+    every e.  Returns (factor_or_None, iterations_used).  Parameters are
+    drawn from an n-seeded RNG so results are reproducible run to run.
     """
     rng = random.Random(n)
+    cost = e.bit_length() - 1
     used = 0
     while used < budget:
         y = rng.randrange(1, n)
@@ -167,17 +185,17 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
         while g == 1:
             x = y
             for _ in range(r):
-                y = (y * y + c) % n
+                y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
                 count = min(m, r - k)
                 for _ in range(count):
-                    y = (y * y + c) % n
+                    y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += count
-            used += 2 * r
+            used += 2 * r * cost
             r *= 2
             if g == 1 and used >= budget:
                 return None, used
@@ -185,19 +203,63 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
             # Batched gcd overshot; replay one step at a time.
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
+                ys = ((ys * ys if e == 2 else pow(ys, e, n)) + c) % n
                 g = math.gcd(abs(x - ys), n)
-                used += 1
+                used += cost
         if g < n:
             return g, used
     return None, used
 
 
+def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
+    """Split n = 2^m - 1 or 2^m + 1 into (d, piece) pairs whose pieces
+    multiply to n; [] when n has neither form.
+
+    2^m - 1 is the product of Phi_d(2) over d | m, and 2^m + 1 the product
+    over d | 2m with d not dividing m.  Each Phi_d(2) comes from the
+    divisor recursion Phi_d(2) = (2^d - 1) / prod(Phi_j(2), j | d, j < d).
+    For d = 4o with o > 1 odd, Phi_d(2) is split once more by its gcd with
+    L = 2^o - 2^((o+1)/2) + 1, the Aurifeuillian factorization of
+    2^(2o) + 1 = L * (2^o + 2^((o+1)/2) + 1); that yields two pieces for d.
+    Every prime factor of a piece for d is 1 (mod lcm(2, d)) except the
+    largest prime of d, which can divide Phi_d(2) once.
+    """
+    if n >= 1 and n & (n + 1) == 0:
+        m, plus = n.bit_length(), False
+    elif n >= 3 and (n - 1) & (n - 2) == 0:
+        m, plus = n.bit_length() - 1, True
+    else:
+        return []
+    top = 2 * m if plus else m
+    phi: dict[int, int] = {}
+    for d in (d for d in range(1, top + 1) if top % d == 0):
+        value = 2**d - 1
+        for j, v in phi.items():
+            if d % j == 0:
+                value //= v
+        phi[d] = value
+    pieces = []
+    for d, value in phi.items():
+        if plus and m % d == 0:
+            continue
+        o = d // 4
+        if d % 8 == 4 and o > 1:
+            aurifeuillian = math.gcd(value, 2**o - 2 ** ((o + 1) // 2) + 1)
+            pieces += [(d, aurifeuillian), (d, value // aurifeuillian)]
+        else:
+            pieces.append((d, value))
+    return [(d, piece) for d, piece in pieces if piece > 1]
+
+
 def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> Factorization:
     """Factor n >= 1 by trial division then Pollard rho (Brent variant).
 
-    Consults and updates `cache` (a factor_cache.FactorCache) when given.
-    Raises FactorizationTimeout once `max_iterations` rho steps are spent.
+    When n = 2^j - 1 or 2^j + 1, the cofactor left by trial division is
+    first split along the cyclotomic and Aurifeuillian pieces of n, and
+    each piece is hunted with the rho map matching its primes' congruence.
+    Consults and updates `cache` (a factor_cache.FactorCache) when given;
+    only n itself is stored, never a piece.  Raises FactorizationTimeout
+    once `max_iterations` rho squarings are spent.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -216,24 +278,33 @@ def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> F
             counts[d] = counts.get(d, 0) + 1
             m //= d
         d += 2
+    # Each pending entry carries the exponent e of its rho map: lcm(2, d)
+    # inside a piece for d, 2 for whatever no piece covers.
+    pending = []
+    for d, piece in _cyclotomic_pieces(n) if m > 1 else ():
+        g = math.gcd(m, piece)
+        if g > 1:
+            pending.append((g, d if d % 2 == 0 else 2 * d))
+            m //= g
+    if m > 1:
+        pending.append((m, 2))
     budget = max_iterations
-    pending = [m] if m > 1 else []
     while pending:
-        c = pending.pop()
+        c, e = pending.pop()
         if is_prime(c):
             counts[c] = counts.get(c, 0) + 1
             continue
         power = _perfect_power(c)
         if power is not None:
             base, k = power
-            pending.extend([base] * k)
+            pending.extend([(base, e)] * k)
             continue
-        factor, used = _rho_brent(c, budget)
+        factor, used = _rho_brent(c, budget, e)
         budget -= used
         if factor is None:
-            raise FactorizationTimeout(n, c)
-        pending.append(factor)
-        pending.append(c // factor)
+            raise FactorizationTimeout(n, c, max_iterations - budget)
+        pending.append((factor, e))
+        pending.append((c // factor, e))
     result = Factorization(n, tuple(sorted(counts.items())))
     if cache is not None:
         cache.put(result)

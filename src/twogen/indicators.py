@@ -34,6 +34,14 @@ class Indicator:
             raise ValueError(f"modulus must be prime, got {self.q}")
         object.__setattr__(self, "a", self.a % self.q)
 
+    @classmethod
+    def _of_prime(cls, a: int, q: int) -> "Indicator":
+        """Build X(a,q) for a q already proven prime, skipping the check."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a % q)
+        object.__setattr__(x, "q", q)
+        return x
+
     def __call__(self, n: int) -> int:
         return 0 if (n - self.a) % self.q == 0 else 1
 
@@ -51,7 +59,7 @@ def decompose(a: int, q: int, cache=None) -> tuple[Indicator, ...]:
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     primes = [p for p, _ in factorize(q, cache).factors]
-    return tuple(Indicator(a % p, p) for p in sorted(primes))
+    return tuple(Indicator._of_prime(a, p) for p in sorted(primes))
 
 
 def strip_exponent(x: Indicator, s: int) -> tuple[Indicator, int]:
@@ -76,7 +84,7 @@ def strip_exponent(x: Indicator, s: int) -> tuple[Indicator, int]:
     while math.gcd(e, group_order) != 1:
         e += step
     d = mod_inverse(e, group_order)
-    return Indicator(pow(x.a, d, q), q), t
+    return Indicator._of_prime(pow(x.a, d, q), q), t
 
 
 def expand_power(x: Indicator, s: int) -> tuple[Indicator, ...]:
@@ -119,7 +127,7 @@ def expand_power(x: Indicator, s: int) -> tuple[Indicator, ...]:
         log += done * next(d for d in range(r) if pow(zeta, d, q) == target)
         done *= r
     roots = [z * pow(c, log // s + j * (t // s), q) % q for j in range(s)]
-    return tuple(sorted((Indicator(r, q) for r in roots), key=_sort_key))
+    return tuple(sorted((Indicator._of_prime(r, q) for r in roots), key=_sort_key))
 
 
 def reduce_power(a: int, q: int, s: int, cache=None) -> tuple[Indicator, ...]:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twogen.arith import (
+    TRIAL_DIVISION_BOUND,
     FactorizationTimeout,
     Factorization,
     NotInvertible,
+    _cyclotomic_pieces,
+    _perfect_power,
+    _rho_brent,
     divisors,
     factorize,
     is_prime,
@@ -86,6 +91,121 @@ def test_factorize_timeout_on_tiny_budget():
     with pytest.raises(FactorizationTimeout) as info:
         factorize(n, max_iterations=10)
     assert info.value.n == n
+    assert info.value.iterations >= 10
+    assert f"after {info.value.iterations} rho iterations" in str(info.value)
+
+
+def test_factorize_timeout_names_the_whole_fermat_number():
+    # 2^128 + 1 = Phi_256(2) is one cyclotomic piece with no factor below
+    # the trial bound, so the stubborn cofactor is the number itself.
+    n = 2**128 + 1
+    with pytest.raises(FactorizationTimeout) as info:
+        factorize(n, max_iterations=100_000)
+    assert info.value.n == n
+    assert info.value.cofactor == n
+    assert info.value.iterations >= 100_000
+    # Rho ran on x^256 + c, and each step was charged its 8 squarings.
+    assert info.value.iterations % 8 == 0
+
+
+def _factorize_plain(n: int) -> tuple[tuple[int, int], ...]:
+    """The former factorize, kept as an oracle: trial division, then rho on
+    x^2 + c with no cyclotomic split."""
+    counts: dict[int, int] = {}
+    m = n
+    for d in [2] + list(range(3, TRIAL_DIVISION_BOUND + 1, 2)):
+        if d * d > m:
+            break
+        while m % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            m //= d
+    pending = [m] if m > 1 else []
+    while pending:
+        c = pending.pop()
+        if is_prime(c):
+            counts[c] = counts.get(c, 0) + 1
+            continue
+        power = _perfect_power(c)
+        if power is not None:
+            pending.extend([power[0]] * power[1])
+            continue
+        factor, _ = _rho_brent(c, 10**8)
+        pending += [factor, c // factor]
+    return tuple(sorted(counts.items()))
+
+
+def _phi_at_2(d: int) -> int:
+    """Phi_d(2) by the Moebius product over j | d of (2^j - 1)^mu(d/j)."""
+    num = den = 1
+    for j in range(1, d + 1):
+        if d % j:
+            continue
+        k, mu = d // j, 1
+        for r in range(2, k + 1):
+            if k % r == 0:
+                k //= r
+                mu = 0 if k % r == 0 else -mu
+        if mu == 1:
+            num *= 2**j - 1
+        elif mu == -1:
+            den *= 2**j - 1
+    return num // den
+
+
+def test_cyclotomic_pieces_multiply_out():
+    split_pairs = 0
+    for m in range(1, 201):
+        for n, ds in (
+            (2**m - 1, [d for d in range(2, m + 1) if m % d == 0]),
+            (2**m + 1, [d for d in range(1, 2 * m + 1) if 2 * m % d == 0 and m % d]),
+        ):
+            pieces = _cyclotomic_pieces(n)
+            assert math.prod(piece for _, piece in pieces) == n, n
+            assert sorted({d for d, _ in pieces}) == ds, n
+            for d in ds:
+                parts = [piece for j, piece in pieces if j == d]
+                phi = _phi_at_2(d)
+                assert math.prod(parts) == phi, (n, d)
+                o = d // 4
+                if d % 8 == 4 and o > 1:
+                    # The Aurifeuillian pair: the gcd with L, then the rest.
+                    low = 2**o - 2 ** ((o + 1) // 2) + 1
+                    assert low * (2**o + 2 ** ((o + 1) // 2) + 1) == 2 ** (2 * o) + 1
+                    head = math.gcd(phi, low)
+                    assert parts == [x for x in (head, phi // head) if x > 1], (n, d)
+                    split_pairs += len(parts) == 2
+                else:
+                    assert parts == [phi], (n, d)
+    assert split_pairs > 50
+
+
+def test_cyclotomic_pieces_reject_other_forms():
+    for n in (2, 4, 6, 10, 12, 36465, 2**64, 2**64 + 3, 3**40):
+        assert _cyclotomic_pieces(n) == [], n
+
+
+def test_factorize_matches_plain_oracle_on_two_powers():
+    for m in range(1, 81):
+        for n in (2**m - 1, 2**m + 1):
+            assert factorize(n).factors == _factorize_plain(n), n
+
+
+def test_cyclotomic_piece_primes_are_one_mod_lcm():
+    # The congruence behind the x^e + c map: a prime of the piece for d is
+    # 1 mod lcm(2, d), or it is the largest prime factor of d.
+    for m in range(1, 61):
+        for n in (2**m - 1, 2**m + 1):
+            for d, piece in _cyclotomic_pieces(n):
+                e = d if d % 2 == 0 else 2 * d
+                largest = max(p for p, _ in factorize(d).factors) if d > 1 else 1
+                for p, _ in factorize(piece).factors:
+                    assert p % e == 1 or p == largest, (n, d, p)
+
+
+def test_factorize_2_101_minus_1_within_reduced_budget():
+    # Plain x^2 + c rho needs about 8 million squarings here.
+    fact = factorize(2**101 - 1, max_iterations=2_500_000)
+    assert fact.factors == ((7432339208719, 1), (341117531003194129, 1))
 
 
 @settings(max_examples=300, deadline=None)

@@ -178,6 +178,23 @@ def test_expand_power_large_primes():
             assert expand_power(Indicator(g, q), s) == (), (q, s)
 
 
+def test_expand_power_proves_q_at_most_once(monkeypatch):
+    import twogen.indicators as indicators
+
+    q, s = 2**127 - 1, 2646  # s = 2 * 3^3 * 7^2 divides q - 1
+    x = Indicator(pow(3, s, q), q)
+    calls = []
+    real = indicators.is_prime
+    monkeypatch.setattr(indicators, "is_prime", lambda n: calls.append(n) or real(n))
+    roots = expand_power(x, s)
+    assert len(roots) == s and all(pow(r.a, s, q) == x.a for r in roots)
+    assert len(calls) <= 1
+    # Public construction still proves its modulus.
+    calls.clear()
+    Indicator(5, 7)
+    assert calls == [7]
+
+
 def test_expand_power_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2024)
