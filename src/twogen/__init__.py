@@ -47,6 +47,7 @@ from .semigroup import (
     NotCoprime,
     SemigroupNode,
     TwoGeneratorSemigroup,
+    count_by_genus,
     count_two_generator,
     enumerate_by_genus,
     gap_set,

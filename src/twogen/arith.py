@@ -170,8 +170,10 @@ def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
     (p-1)/e values mod p and the cycle is about sqrt(e-1) times shorter
     (Brent & Pollard, 1981).  Each step is charged e.bit_length() - 1
     iterations, the squarings in x^e, so the budget counts squarings for
-    every e.  Returns (factor_or_None, iterations_used).  Parameters are
-    drawn from an n-seeded RNG so results are reproducible run to run.
+    every e.  The budget is checked after every batch of at most 128
+    steps, so a hunt that runs out spends less than one batch beyond it.
+    Returns (factor_or_None, iterations_used).  Parameters are drawn from
+    an n-seeded RNG so results are reproducible run to run.
     """
     rng = random.Random(n)
     cost = e.bit_length() - 1
@@ -184,8 +186,15 @@ def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
         x = ys = y
         while g == 1:
             x = y
-            for _ in range(r):
-                y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
+            k = 0
+            while k < r:
+                count = min(m, r - k)
+                for _ in range(count):
+                    y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
+                k += count
+                used += count * cost
+                if used >= budget:
+                    return None, used
             k = 0
             while k < r and g == 1:
                 ys = y
@@ -195,10 +204,10 @@ def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += count
-            used += 2 * r * cost
+                used += count * cost
+                if g == 1 and used >= budget:
+                    return None, used
             r *= 2
-            if g == 1 and used >= budget:
-                return None, used
         if g == n:
             # Batched gcd overshot; replay one step at a time.
             g = 1

@@ -19,7 +19,12 @@ from .factor_cache import FactorCache
 from .indicators import reduce_power
 from .modulus import dependence_check, modulus_of
 from .reduction import euclidean_trace, normalize_target, reduce, verify_reduction
-from .semigroup import BudgetExceeded, count_two_generator, enumerate_by_genus
+from .semigroup import (
+    BudgetExceeded,
+    count_by_genus,
+    count_two_generator,
+    enumerate_by_genus,
+)
 from .synthesis import (
     SynthesisBlocked,
     minimal_modulus,
@@ -74,14 +79,19 @@ def cmd_count(args, cache) -> int:
 
 
 def cmd_enumerate(args, cache) -> int:
-    levels = enumerate_by_genus(args.genus)
+    if args.count_only:
+        levels = None
+        counts = count_by_genus(args.genus)
+    else:
+        levels = enumerate_by_genus(args.genus)
+        counts = [(len(nodes), count_two_generator(nodes)) for nodes in levels]
     rows = [
-        {"genus": g, "total": len(nodes), "two_generator": count_two_generator(nodes)}
-        for g, nodes in enumerate(levels)
+        {"genus": g, "total": total, "two_generator": pairs}
+        for g, (total, pairs) in enumerate(counts)
     ]
     if args.json:
         payload: dict = {"levels": rows}
-        if not args.count_only:
+        if levels is not None:
             payload["semigroups"] = [
                 {"gaps": list(n.gaps), "generators": list(n.generators)}
                 for n in levels[-1]
@@ -91,7 +101,7 @@ def cmd_enumerate(args, cache) -> int:
     print("genus  total  two-generator")
     for row in rows:
         print(f"{row['genus']:>5}  {row['total']:>5}  {row['two_generator']:>13}")
-    if not args.count_only:
+    if levels is not None:
         print(f"semigroups of genus {args.genus}:")
         for node in levels[-1]:
             gaps = ",".join(map(str, node.gaps))

@@ -21,7 +21,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .arith import DEFAULT_RHO_BUDGET, Factorization, factorize
+from .arith import DEFAULT_RHO_BUDGET, Factorization, FactorizationTimeout, factorize
 
 
 class ParseError(ValueError):
@@ -123,8 +123,19 @@ class FactorCache:
     def seed_power_tables(
         self, max_exponent: int = 64, max_iterations: int = DEFAULT_RHO_BUDGET
     ) -> None:
-        """Populate the cache with factorizations of 2^m - 1 and 2^m + 1."""
+        """Populate the cache with factorizations of 2^m - 1 and 2^m + 1.
+
+        A number that runs out of budget does not stop the others: every one
+        that factors is stored, and then the FactorizationTimeout of the
+        first number that failed is raised.
+        """
+        first_timeout = None
         for m in range(1, max_exponent + 1):
             for n in (2**m - 1, 2**m + 1):
                 if n >= 2 and n not in self:
-                    factorize(n, cache=self, max_iterations=max_iterations)
+                    try:
+                        factorize(n, cache=self, max_iterations=max_iterations)
+                    except FactorizationTimeout as exc:
+                        first_timeout = first_timeout or exc
+        if first_timeout is not None:
+            raise first_timeout

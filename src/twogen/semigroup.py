@@ -4,15 +4,19 @@ A numerical semigroup is a subset of the non-negative integers containing
 0, closed under addition, with finite complement (the gap set; its size is
 the genus).  This module provides the two-generator basics -- genus via
 Sylvester's formula, explicit gap sets -- and an exhaustive census of all
-numerical semigroups up to a genus bound, built level by level on the
-standard tree whose children remove one minimal generator beyond the
-Frobenius number.  The census is the independent oracle the rest of the
-package is validated against.
+numerical semigroups up to a genus bound.  The census is one depth-first
+walk of the standard tree, whose children remove one minimal generator
+beyond the Frobenius number; each child's gaps and minimal generators
+follow from its parent's (Fromentin & Hivert, *Exploring the tree of
+numerical semigroups*, 2016).  The census is the independent oracle the
+rest of the package is validated against.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 DEFAULT_GENUS_CAP = 25
@@ -42,7 +46,7 @@ class TwoGeneratorSemigroup:
             raise NotCoprime(f"gcd({self.a}, {self.b}) != 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemigroupNode:
     """One census entry: minimal generators, gap set, genus."""
 
@@ -66,22 +70,51 @@ def gap_set(s: TwoGeneratorSemigroup) -> tuple[int, ...]:
     return tuple(n for n in range(1, frobenius + 1) if not member >> n & 1)
 
 
-def _minimal_generators(mask: int, width: int) -> tuple[int, ...]:
-    """Minimal generators of the semigroup with membership bitmap `mask`.
+def _check_genus(max_genus: int, genus_cap: int) -> None:
+    if max_genus < 0:
+        raise ValueError(f"max_genus must be >= 0, got {max_genus}")
+    if max_genus > genus_cap:
+        raise BudgetExceeded(
+            f"genus {max_genus} exceeds the enumeration cap {genus_cap}"
+        )
 
-    All minimal generators of a genus-g semigroup are <= 2g+1, so a window
-    of width 2g+2 sees every one of them together with all sum witnesses.
+
+def _walk(max_genus: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Preorder walk of the semigroup tree down to max_genus, yielding
+    (genus, minimal generators, gaps) with both tuples increasing.
+
+    The child S' = S minus m, for a minimal generator m above the Frobenius
+    number F of S, has the gaps of S plus m.  If m is the multiplicity mu,
+    S was ordinary and the generators of S' are m+1..2m+1.  Otherwise they
+    are those of S without m, plus m + mu if it is irreducible in S': every
+    generator of S lies in [mu, F + mu], and each x > m + mu is mu plus an
+    element of S', so m + mu is the only candidate.  Children are visited in
+    increasing m, so each genus comes out sorted by gap tuple, the path of
+    the node in the tree.
     """
-    elements = [i for i in range(1, width) if mask >> i & 1]
-    gens = []
-    for m in elements:
-        for x in elements:
-            if 2 * x > m:
-                gens.append(m)
-                break
-            if mask >> (m - x) & 1:
-                break
-    return tuple(gens)
+    stack = [((1,), (), 0, -1)]  # (generators, gaps, gap bitmap, frobenius)
+    while stack:
+        gens, gaps, holes, frobenius = stack.pop()
+        genus = len(gaps)
+        yield genus, gens, gaps
+        if genus == max_genus:
+            continue
+        mu = gens[0]
+        # Push in decreasing m so that the smallest m is popped first.
+        for i in range(len(gens) - 1, bisect.bisect_right(gens, frobenius) - 1, -1):
+            m = gens[i]
+            child_holes = holes | 1 << m
+            if m == mu:
+                child_gens = tuple(range(m + 1, 2 * m + 2))
+            else:
+                child_gens = gens[:i] + gens[i + 1 :]
+                new = m + mu
+                for g in child_gens:
+                    if not child_holes >> (new - g) & 1:
+                        break  # new = g + (new - g) inside S'
+                else:
+                    child_gens += (new,)
+            stack.append((child_gens, gaps + (m,), child_holes, m))
 
 
 def enumerate_by_genus(
@@ -93,30 +126,29 @@ def enumerate_by_genus(
     Frobenius number, which reaches every semigroup exactly once.  Levels
     are sorted by gap set, so output order is deterministic.
     """
-    if max_genus < 0:
-        raise ValueError(f"max_genus must be >= 0, got {max_genus}")
-    if max_genus > genus_cap:
-        raise BudgetExceeded(
-            f"genus {max_genus} exceeds the enumeration cap {genus_cap}"
-        )
-    width = 2 * max_genus + 2
-    levels: list[list[SemigroupNode]] = []
-    current: list[tuple[int, int]] = [((1 << width) - 1, -1)]  # (mask, frobenius)
-    for g in range(max_genus + 1):
-        nodes = []
-        next_level: list[tuple[int, int]] = []
-        for mask, frobenius in current:
-            gens = _minimal_generators(mask, width)
-            gaps = tuple(i for i in range(1, width) if not mask >> i & 1)
-            nodes.append(SemigroupNode(gens, gaps, g))
-            if g < max_genus:
-                for m in gens:
-                    if m > frobenius:
-                        next_level.append((mask & ~(1 << m), m))
-        nodes.sort(key=lambda node: node.gaps)
-        levels.append(nodes)
-        current = next_level
+    _check_genus(max_genus, genus_cap)
+    levels: list[list[SemigroupNode]] = [[] for _ in range(max_genus + 1)]
+    for genus, gens, gaps in _walk(max_genus):
+        levels[genus].append(SemigroupNode(gens, gaps, genus))
     return levels
+
+
+def count_by_genus(
+    max_genus: int, genus_cap: int = DEFAULT_GENUS_CAP
+) -> list[tuple[int, int]]:
+    """(total, two-generator) census counts for genus 0..max_genus.
+
+    Equal to the sizes and `count_two_generator` values of the levels of
+    `enumerate_by_genus`, without building any node.
+    """
+    _check_genus(max_genus, genus_cap)
+    totals = [0] * (max_genus + 1)
+    pairs = [0] * (max_genus + 1)
+    for genus, gens, _ in _walk(max_genus):
+        totals[genus] += 1
+        if len(gens) == 2:
+            pairs[genus] += 1
+    return list(zip(totals, pairs))
 
 
 def count_two_generator(nodes: list[SemigroupNode]) -> int:

@@ -108,6 +108,22 @@ def test_factorize_timeout_names_the_whole_fermat_number():
     assert info.value.iterations % 8 == 0
 
 
+@pytest.mark.parametrize(
+    "n, budget, cost",
+    [
+        # x^256 + c on F7, whose budget runs out inside a gcd batch.
+        (2**128 + 1, 100_000, 8),
+        # x^2 + c on two Mersenne primes, whose budget runs out inside the
+        # advance of x in the r = 32768 round.
+        ((2**61 - 1) * (2**89 - 1), 70_000, 1),
+    ],
+)
+def test_factorize_timeout_overshoots_by_less_than_one_batch(n, budget, cost):
+    with pytest.raises(FactorizationTimeout) as info:
+        factorize(n, max_iterations=budget)
+    assert budget <= info.value.iterations <= budget + 128 * cost
+
+
 def _factorize_plain(n: int) -> tuple[tuple[int, int], ...]:
     """The former factorize, kept as an oracle: trial division, then rho on
     x^2 + c with no cyclotomic split."""
@@ -203,8 +219,9 @@ def test_cyclotomic_piece_primes_are_one_mod_lcm():
 
 
 def test_factorize_2_101_minus_1_within_reduced_budget():
-    # Plain x^2 + c rho needs about 8 million squarings here.
-    fact = factorize(2**101 - 1, max_iterations=2_500_000)
+    # Rho on x^202 + c needs 3.24 million squarings here, plain x^2 + c
+    # about 7.2 million.
+    fact = factorize(2**101 - 1, max_iterations=3_500_000)
     assert fact.factors == ((7432339208719, 1), (341117531003194129, 1))
 
 

@@ -152,3 +152,19 @@ def test_seed_power_tables():
     assert cache.get(2**16 + 1).factors == ((65537, 1),)
     assert cache.get(2**13 - 1).factors == ((8191, 1),)
     assert 1 not in cache  # 2^1 - 1 is skipped
+
+
+def test_seed_power_tables_keeps_going_past_a_timeout():
+    # With no rho budget, 2^41 - 1 = 13367 * 164511353 is the first number
+    # that needs rho; everything below the trial bound still factors.
+    cache = FactorCache()
+    with pytest.raises(FactorizationTimeout) as info:
+        cache.seed_power_tables(max_exponent=64, max_iterations=0)
+    assert info.value.n == 2**41 - 1
+    failed = {2**41 - 1, 2**52 + 1, 2**53 - 1, 2**57 - 1, 2**59 - 1, 2**59 + 1}
+    failed |= {2**63 - 1, 2**64 + 1}
+    for m in range(1, 65):
+        for n in (2**m - 1, 2**m + 1):
+            if n >= 2:
+                assert (n in cache) == (n not in failed), n
+    assert cache.get(2**64 - 1).value == 2**64 - 1

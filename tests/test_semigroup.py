@@ -6,7 +6,9 @@ import pytest
 from twogen.semigroup import (
     BudgetExceeded,
     NotCoprime,
+    SemigroupNode,
     TwoGeneratorSemigroup,
+    count_by_genus,
     count_two_generator,
     enumerate_by_genus,
     gap_set,
@@ -88,12 +90,13 @@ def test_enumeration_genus_zero():
 
 
 def test_enumeration_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_by_genus(26)
-    with pytest.raises(BudgetExceeded):
-        enumerate_by_genus(4, genus_cap=3)
-    with pytest.raises(ValueError):
-        enumerate_by_genus(-1)
+    for census in (enumerate_by_genus, count_by_genus):
+        with pytest.raises(BudgetExceeded):
+            census(26)
+        with pytest.raises(BudgetExceeded):
+            census(4, genus_cap=3)
+        with pytest.raises(ValueError):
+            census(-1)
 
 
 def test_nodes_are_consistent():
@@ -138,3 +141,78 @@ def test_count_two_generator_examples():
 
 def test_enumeration_is_deterministic():
     assert enumerate_by_genus(8) == enumerate_by_genus(8)
+
+
+# OEIS A007323: the number of numerical semigroups of genus g, g = 0..20.
+A007323 = (
+    1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857,
+    4806, 8045, 13467, 22464, 37396,
+)
+
+
+def _minimal_generators(mask, width):
+    """Minimal generators of the semigroup with membership bitmap `mask`.
+
+    All minimal generators of a genus-g semigroup are <= 2g+1, so a window
+    of width 2g+2 sees every one of them together with all sum witnesses.
+    """
+    elements = [i for i in range(1, width) if mask >> i & 1]
+    gens = []
+    for m in elements:
+        for x in elements:
+            if 2 * x > m:
+                gens.append(m)
+                break
+            if mask >> (m - x) & 1:
+                break
+    return tuple(gens)
+
+
+def _enumerate_level_by_level(max_genus):
+    """The census rebuilt from scratch at every node, one genus at a time:
+    membership bitmaps, generators by pairwise sums, gaps by a mask scan,
+    and each level sorted by gaps at the end."""
+    width = 2 * max_genus + 2
+    levels = []
+    current = [((1 << width) - 1, -1)]  # (mask, frobenius)
+    for g in range(max_genus + 1):
+        nodes = []
+        next_level = []
+        for mask, frobenius in current:
+            gens = _minimal_generators(mask, width)
+            gaps = tuple(i for i in range(1, width) if not mask >> i & 1)
+            nodes.append(SemigroupNode(gens, gaps, g))
+            if g < max_genus:
+                for m in gens:
+                    if m > frobenius:
+                        next_level.append((mask & ~(1 << m), m))
+        nodes.sort(key=lambda node: node.gaps)
+        levels.append(nodes)
+        current = next_level
+    return levels
+
+
+@pytest.fixture(scope="module")
+def census_20():
+    return enumerate_by_genus(20)
+
+
+def test_enumeration_matches_level_by_level_oracle():
+    for g in range(17):
+        assert enumerate_by_genus(g) == _enumerate_level_by_level(g), g
+
+
+def test_enumeration_levels_sorted_by_gaps(census_20):
+    for nodes in census_20:
+        gaps = [node.gaps for node in nodes]
+        assert gaps == sorted(gaps)
+
+
+def test_enumeration_matches_oeis_a007323(census_20):
+    assert tuple(len(nodes) for nodes in census_20) == A007323
+
+
+def test_count_by_genus_matches_full_levels(census_20):
+    expected = [(len(nodes), count_two_generator(nodes)) for nodes in census_20]
+    for g in range(21):
+        assert count_by_genus(g) == expected[: g + 1], g
