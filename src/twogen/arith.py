@@ -3,29 +3,49 @@
 Everything works on Python's arbitrary-precision ints.  Primality is
 deterministic below ~3.3e24 (fixed Miller-Rabin witness set) and
 probabilistic above (40 extra rounds, error < 4**-40).  Factorization runs
-trial division up to a fixed bound, then Pollard rho with Brent's cycle
-detection under an iteration budget; exhausting the budget raises
-FactorizationTimeout instead of hanging, so a known factorization can be
-supplied through a cache (see factor_cache) as the escape hatch.
+trial division up to a fixed bound, then hunts each composite cofactor in
+three steps under one iteration budget: a short slice of Pollard rho with
+Brent's cycle detection, which wins on small factors; Pollard's p-1
+(1974), stage 1 to PM1_B1 and a baby-step giant-step stage 2 to PM1_B2;
+and the same rho hunt resumed with the budget left.  Every modular
+squaring or multiplication of every stage is charged to the budget, and
+exhausting it raises FactorizationTimeout instead of hanging, so a known
+factorization can be supplied through a cache (see factor_cache) as the
+escape hatch.
 
 Every large number this package factors is 2^m - 1 or 2^m + 1, so
 factorize recognises that form and uses the algebra of the Cunningham
-tables (Brillhart et al., Factorizations of b^n +- 1) before rho: the
-cofactor is split along the cyclotomic values Phi_d(2) and the
-Aurifeuillian halves of Phi_4o(2), and each piece is hunted with the map
-x^e + c, e = lcm(2, d), since the primes of Phi_d(2) are 1 mod e (Brent
-& Pollard, 1981).  The split and the map change only the speed; every
-prime is still proven by is_prime.
+tables (Brillhart et al., Factorizations of b^n +- 1) first: the cofactor
+is split along the cyclotomic values Phi_d(2) and the Aurifeuillian halves
+of Phi_4o(2).  The primes of Phi_d(2) are 1 mod e = lcm(2, d), so each
+piece is hunted with the rho map x^e + c (Brent & Pollard, 1981), and e is
+multiplied into the p-1 exponent, leaving only (q - 1)/e to be smooth.
+The split, the map and p-1 change only the speed; every prime is still
+proven by is_prime.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 TRIAL_DIVISION_BOUND = 10_000
 DEFAULT_RHO_BUDGET = 10_000_000
+# Squarings of the first rho run on each piece, before p-1 is tried.
+RHO_SLICE = 1 << 16
+# Pollard p-1: stage-1 bound, stage-2 bound, the wheel of the stage-2
+# giant steps, the size of a stage-1 chunk between gcds, and the base.
+PM1_B1 = 50_000
+PM1_B2 = 1_000_000
+PM1_WHEEL = 2 * 3 * 5 * 7 * 11
+PM1_CHUNK_BITS = 1024
+PM1_BASE = 3
+# The baby steps u: 0 < u < D/2 and coprime to D, as every prime above 11 is.
+_PM1_BABIES = frozenset(u for u in range(1, PM1_WHEEL // 2) if math.gcd(u, PM1_WHEEL) == 1)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # Miller-Rabin with the first 13 primes as witnesses is exact below this bound.
@@ -39,17 +59,23 @@ class NotInvertible(ValueError):
 
 
 class FactorizationTimeout(RuntimeError):
-    """The factoring budget ran out; carries the stubborn cofactor and, when
-    known, the rho iterations spent on n before giving up."""
+    """The factoring budget ran out; carries the stubborn cofactor, when
+    known the iterations spent on n before giving up, and the last stage
+    run on the cofactor: "rho", or "p-1" when Pollard p-1 ran between the
+    two rho runs."""
 
-    def __init__(self, n: int, cofactor: int, iterations: int | None = None):
-        spent = "" if iterations is None else f" after {iterations} rho iterations"
+    def __init__(
+        self, n: int, cofactor: int, iterations: int | None = None, stage: str = "rho"
+    ):
+        methods = "rho" if stage == "rho" else "rho and p-1"
+        spent = "" if iterations is None else f" after {iterations} {methods} iterations"
         super().__init__(
             f"could not factor {n}: budget exhausted on cofactor {cofactor}{spent}"
         )
         self.n = n
         self.cofactor = cofactor
         self.iterations = iterations
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -122,16 +148,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_flags(n: int) -> bytearray:
+    """Sieve of Eratosthenes: flags[i] == 1 iff i is prime, for 0 <= i <= n,
+    n >= 1."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return flags
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, by sieve of Eratosthenes."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(itertools.compress(range(n + 1), _prime_flags(n)))
 
 
 def odd_primes_up_to(n: int) -> list[int]:
@@ -162,23 +194,23 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
-    """Hunt a nontrivial factor of odd composite n with Brent's rho on the
-    map x -> x^e + c.
+def _rho_batches(n: int, e: int = 2) -> Iterator[tuple[int | None, int]]:
+    """Brent's rho on the map x -> x^e + c, hunting a nontrivial factor of
+    the odd composite n one batch of at most 128 steps at a time.
 
     When every prime factor p of n has p = 1 (mod e), x^e takes only
     (p-1)/e values mod p and the cycle is about sqrt(e-1) times shorter
     (Brent & Pollard, 1981).  Each step is charged e.bit_length() - 1
     iterations, the squarings in x^e, so the budget counts squarings for
-    every e.  The budget is checked after every batch of at most 128
-    steps, so a hunt that runs out spends less than one batch beyond it.
-    Returns (factor_or_None, iterations_used).  Parameters are drawn from
-    an n-seeded RNG so results are reproducible run to run.
+    every e.  Yields (None, iterations_so_far) after each batch that found
+    nothing and (factor, iterations_so_far) once, at the end.  Parameters
+    are drawn from an n-seeded RNG, so a hunt is reproducible and a caller
+    that stops between batches can resume it on the same trajectory.
     """
     rng = random.Random(n)
     cost = e.bit_length() - 1
     used = 0
-    while used < budget:
+    while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
@@ -193,8 +225,7 @@ def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
                     y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
                 k += count
                 used += count * cost
-                if used >= budget:
-                    return None, used
+                yield None, used
             k = 0
             while k < r and g == 1:
                 ys = y
@@ -205,8 +236,8 @@ def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
                 g = math.gcd(q, n)
                 k += count
                 used += count * cost
-                if g == 1 and used >= budget:
-                    return None, used
+                if g == 1:
+                    yield None, used
             r *= 2
         if g == n:
             # Batched gcd overshot; replay one step at a time.
@@ -216,8 +247,154 @@ def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
                 g = math.gcd(abs(x - ys), n)
                 used += cost
         if g < n:
-            return g, used
+            yield g, used
+            return
+        yield None, used
+
+
+def _advance(
+    batches: Iterator[tuple[int | None, int]], used: int, budget: int
+) -> tuple[int | None, int]:
+    """Run a rho hunt that has spent `used` iterations until it finds a
+    factor or has spent `budget`, checking before every batch, so it stops
+    less than one batch beyond the budget.  Returns (factor_or_None,
+    iterations_used)."""
+    while used < budget:
+        factor, used = next(batches)
+        if factor is not None:
+            return factor, used
     return None, used
+
+
+def _stage1_primes(lo: int, hi: int, b1: int) -> Iterator[int]:
+    """The primes q in [lo, hi], hi <= b1, each repeated k times, where q^k
+    is the largest power of q that is <= b1: the stage-1 exponent of p-1
+    is their product."""
+    for q in itertools.compress(range(lo, hi + 1), _prime_flags(hi)[lo:]):
+        power = q
+        while power <= b1:
+            yield q
+            power *= q
+
+
+@functools.cache
+def _stage1_chunks(b1: int) -> tuple[tuple[int, int, int], ...]:
+    """The stage-1 exponent of p-1 cut into chunks of about PM1_CHUNK_BITS
+    bits: (chunk product, first prime, last prime), each prime of the chunk
+    with all its repeats."""
+    chunks = []
+    product, first, last = 1, 2, 2
+    for q in _stage1_primes(2, b1, b1):
+        if q != last and product.bit_length() >= PM1_CHUNK_BITS:
+            chunks.append((product, first, last))
+            product, first = 1, q
+        product *= q
+        last = q
+    chunks.append((product, first, last))
+    return tuple(chunks)
+
+
+def _pm1_giant_steps(b1: int, b2: int) -> range:
+    """Multipliers v of the stage-2 giant steps v*D: every prime q in
+    (b1, b2] is v*D +- u for one of them and some 0 < u < D/2."""
+    return range(b1 // PM1_WHEEL, b2 // PM1_WHEEL + 2)
+
+
+def _pm1_cost(e: int, b1: int = PM1_B1, b2: int = PM1_B2) -> int:
+    """Modular squarings and multiplications that `_pollard_pm1` spends on
+    a number it cannot split, without a replay after a gcd equal to n."""
+    stage1 = e.bit_length() + sum(x.bit_length() for x, _, _ in _stage1_chunks(b1))
+    giants = _pm1_giant_steps(b1, b2)
+    setup = PM1_WHEEL // 2 + 2 * (giants.start * PM1_WHEEL).bit_length()
+    return stage1 + setup + len(giants) * (len(_PM1_BABIES) + 2)
+
+
+def _pollard_pm1(
+    n: int, e: int = 2, b1: int = PM1_B1, b2: int = PM1_B2
+) -> tuple[int | None, int]:
+    """Pollard's p-1 (1974) for a factor of the odd composite n, prime to
+    PM1_BASE, with e multiplied into the exponent because every prime of n
+    is 1 (mod e).
+
+    Stage 1 raises a = PM1_BASE to e and then to each chunk of the
+    b1-smooth exponent, with a gcd after every chunk.  A gcd equal to n
+    means all primes of n completed in that chunk; it is replayed one prime
+    at a time, so a number whose primes all have smooth q - 1 still splits.
+    Stage 2 catches one more prime of q - 1 up to b2 by baby steps and
+    giant steps over the wheel D = PM1_WHEEL.  With f(t) = b^t + b^-t,
+    f(vD) - f(u) = b^-vD (b^vD - b^u)(b^vD - b^-u), so one product covers
+    both vD - u and vD + u, and no prime list above b1 is built.  Every
+    modular squaring or multiplication is charged one iteration.  Returns
+    (factor_or_None, iterations_used).
+    """
+    x = pow(PM1_BASE, e, n)
+    used = e.bit_length()
+    g = math.gcd(x - 1, n)
+    for chunk, first, last in _stage1_chunks(b1):
+        if g != 1:
+            break
+        y = pow(x, chunk, n)
+        used += chunk.bit_length()
+        g = math.gcd(y - 1, n)
+        if g == n:
+            # Every prime of n completed inside this chunk: replay it.
+            for q in _stage1_primes(first, last, b1):
+                x = pow(x, q, n)
+                used += q.bit_length()
+                g = math.gcd(x - 1, n)
+                if g != 1:
+                    break
+        x = y
+    if g != 1:
+        return (g if g < n else None), used
+    # Stage 2 on b = x: baby values f(u), then f(vD) for each giant step.
+    inverse = pow(x, -1, n)
+    up, down = x, inverse  # b^u and b^-u for odd u
+    square_up, square_down = x * x % n, inverse * inverse % n
+    babies = []
+    for u in range(1, PM1_WHEEL // 2, 2):
+        if u in _PM1_BABIES:
+            babies.append((up + down) % n)
+        up, down = up * square_up % n, down * square_down % n
+    giants = _pm1_giant_steps(b1, b2)
+    step_up = pow(x, PM1_WHEEL, n)
+    step_down = pow(inverse, PM1_WHEEL, n)
+    up = pow(step_up, giants.start, n)
+    down = pow(step_down, giants.start, n)
+    used += PM1_WHEEL // 2 + 2 * (giants.start * PM1_WHEEL).bit_length()
+    product = 1
+    for _ in giants:
+        giant = up + down
+        for baby in babies:
+            product = product * (giant - baby) % n
+        used += len(babies) + 2
+        g = math.gcd(product, n)
+        if g == n:
+            g = next((h for h in (math.gcd(giant - b, n) for b in babies) if h > 1), n)
+        if g != 1:
+            return (g if g < n else None), used
+        up, down = up * step_up % n, down * step_down % n
+    return None, used
+
+
+def _split(n: int, e: int, budget: int) -> tuple[int | None, int, str]:
+    """Hunt a nontrivial factor of the odd composite n within `budget`
+    iterations: a rho slice of RHO_SLICE squarings, which wins on small
+    factors, then p-1 if the budget left covers its whole cost, then the
+    same rho hunt resumed with what remains.  Returns (factor_or_None,
+    iterations_used, last stage run)."""
+    rho = _rho_batches(n, e)
+    factor, used = _advance(rho, 0, min(budget, RHO_SLICE))
+    if factor is not None:
+        return factor, used, "rho"
+    stage, spent = "rho", 0
+    if budget - used >= _pm1_cost(e):
+        stage = "p-1"
+        factor, spent = _pollard_pm1(n, e)
+        if factor is not None:
+            return factor, used + spent, stage
+    factor, used = _advance(rho, used, budget - spent)
+    return factor, used + spent, stage
 
 
 def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
@@ -261,14 +438,16 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
 
 
 def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> Factorization:
-    """Factor n >= 1 by trial division then Pollard rho (Brent variant).
+    """Factor n >= 1 by trial division, then rho, p-1 and rho again on
+    each composite cofactor (see _split).
 
     When n = 2^j - 1 or 2^j + 1, the cofactor left by trial division is
     first split along the cyclotomic and Aurifeuillian pieces of n, and
-    each piece is hunted with the rho map matching its primes' congruence.
-    Consults and updates `cache` (a factor_cache.FactorCache) when given;
-    only n itself is stored, never a piece.  Raises FactorizationTimeout
-    once `max_iterations` rho squarings are spent.
+    each piece is hunted with the rho map and p-1 exponent matching its
+    primes' congruence.  Consults and updates `cache` (a
+    factor_cache.FactorCache) when given; only n itself is stored, never a
+    piece.  Raises FactorizationTimeout once `max_iterations` modular
+    squarings and multiplications are spent.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -308,10 +487,10 @@ def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> F
             base, k = power
             pending.extend([(base, e)] * k)
             continue
-        factor, used = _rho_brent(c, budget, e)
+        factor, used, stage = _split(c, e, budget)
         budget -= used
         if factor is None:
-            raise FactorizationTimeout(n, c, max_iterations - budget)
+            raise FactorizationTimeout(n, c, max_iterations - budget, stage)
         pending.append((factor, e))
         pending.append((c // factor, e))
     result = Factorization(n, tuple(sorted(counts.items())))

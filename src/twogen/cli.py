@@ -19,12 +19,7 @@ from .factor_cache import FactorCache
 from .indicators import reduce_power
 from .modulus import dependence_check, modulus_of
 from .reduction import euclidean_trace, normalize_target, reduce, verify_reduction
-from .semigroup import (
-    BudgetExceeded,
-    count_by_genus,
-    count_two_generator,
-    enumerate_by_genus,
-)
+from .semigroup import BudgetExceeded, count_by_genus, deepest_level
 from .synthesis import (
     SynthesisBlocked,
     minimal_modulus,
@@ -80,30 +75,29 @@ def cmd_count(args, cache) -> int:
 
 def cmd_enumerate(args, cache) -> int:
     if args.count_only:
-        levels = None
+        deepest = None
         counts = count_by_genus(args.genus)
     else:
-        levels = enumerate_by_genus(args.genus)
-        counts = [(len(nodes), count_two_generator(nodes)) for nodes in levels]
+        counts, deepest = deepest_level(args.genus)
     rows = [
         {"genus": g, "total": total, "two_generator": pairs}
         for g, (total, pairs) in enumerate(counts)
     ]
     if args.json:
         payload: dict = {"levels": rows}
-        if levels is not None:
+        if deepest is not None:
             payload["semigroups"] = [
                 {"gaps": list(n.gaps), "generators": list(n.generators)}
-                for n in levels[-1]
+                for n in deepest
             ]
         _emit_json(payload)
         return EXIT_OK
     print("genus  total  two-generator")
     for row in rows:
         print(f"{row['genus']:>5}  {row['total']:>5}  {row['two_generator']:>13}")
-    if levels is not None:
+    if deepest is not None:
         print(f"semigroups of genus {args.genus}:")
-        for node in levels[-1]:
+        for node in deepest:
             gaps = ",".join(map(str, node.gaps))
             gens = ",".join(map(str, node.generators))
             print(f"  gaps=[{gaps}] generators=[{gens}]")

@@ -133,6 +133,23 @@ def enumerate_by_genus(
     return levels
 
 
+def _census(
+    max_genus: int, keep_deepest: bool
+) -> tuple[list[tuple[int, int]], list[SemigroupNode]]:
+    """Per-genus (total, two-generator) counts and, if asked, the nodes of
+    genus max_genus, from one walk that builds no other node."""
+    totals = [0] * (max_genus + 1)
+    pairs = [0] * (max_genus + 1)
+    deepest: list[SemigroupNode] = []
+    for genus, gens, gaps in _walk(max_genus):
+        totals[genus] += 1
+        if len(gens) == 2:
+            pairs[genus] += 1
+        if keep_deepest and genus == max_genus:
+            deepest.append(SemigroupNode(gens, gaps, genus))
+    return list(zip(totals, pairs)), deepest
+
+
 def count_by_genus(
     max_genus: int, genus_cap: int = DEFAULT_GENUS_CAP
 ) -> list[tuple[int, int]]:
@@ -142,13 +159,16 @@ def count_by_genus(
     `enumerate_by_genus`, without building any node.
     """
     _check_genus(max_genus, genus_cap)
-    totals = [0] * (max_genus + 1)
-    pairs = [0] * (max_genus + 1)
-    for genus, gens, _ in _walk(max_genus):
-        totals[genus] += 1
-        if len(gens) == 2:
-            pairs[genus] += 1
-    return list(zip(totals, pairs))
+    return _census(max_genus, keep_deepest=False)[0]
+
+
+def deepest_level(
+    max_genus: int, genus_cap: int = DEFAULT_GENUS_CAP
+) -> tuple[list[tuple[int, int]], list[SemigroupNode]]:
+    """`count_by_genus(max_genus)` and the last level of
+    `enumerate_by_genus(max_genus)`, holding only the nodes of that level."""
+    _check_genus(max_genus, genus_cap)
+    return _census(max_genus, keep_deepest=True)
 
 
 def count_two_generator(nodes: list[SemigroupNode]) -> int:

@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twogen.arith
 from twogen.arith import (
+    PM1_B1,
+    PM1_B2,
+    RHO_SLICE,
     TRIAL_DIVISION_BOUND,
     FactorizationTimeout,
     Factorization,
     NotInvertible,
+    _advance,
     _cyclotomic_pieces,
     _perfect_power,
-    _rho_brent,
+    _pm1_cost,
+    _pollard_pm1,
+    _rho_batches,
+    _stage1_chunks,
     divisors,
     factorize,
     is_prime,
@@ -124,6 +132,11 @@ def test_factorize_timeout_overshoots_by_less_than_one_batch(n, budget, cost):
     assert budget <= info.value.iterations <= budget + 128 * cost
 
 
+def _rho_brent(n: int, budget: int, e: int = 2) -> tuple[int | None, int]:
+    """One rho hunt on x^e + c from the start, within `budget` squarings."""
+    return _advance(_rho_batches(n, e), 0, budget)
+
+
 def _factorize_plain(n: int) -> tuple[tuple[int, int], ...]:
     """The former factorize, kept as an oracle: trial division, then rho on
     x^2 + c with no cyclotomic split."""
@@ -223,6 +236,149 @@ def test_factorize_2_101_minus_1_within_reduced_budget():
     # about 7.2 million.
     fact = factorize(2**101 - 1, max_iterations=3_500_000)
     assert fact.factors == ((7432339208719, 1), (341117531003194129, 1))
+
+
+def test_factorize_2_101_minus_1_within_half_a_million():
+    # p-1 finds 7432339208719 (q - 1 = 2 * 3 * 101 * 44029 * 278557) in
+    # stage 2, after the rho slice; rho on x^202 + c alone needs 3.24M.
+    fact = factorize(2**101 - 1, max_iterations=500_000)
+    assert fact.factors == ((7432339208719, 1), (341117531003194129, 1))
+
+
+def _split_by_pm1(n: int, e: int) -> list[int]:
+    """The primes of n, split by p-1 alone: no rho anywhere."""
+    primes, pending = [], [n]
+    while pending:
+        c = pending.pop()
+        if is_prime(c):
+            primes.append(c)
+            continue
+        factor, _ = _pollard_pm1(c, e)
+        assert factor is not None and 1 < factor < c, c
+        pending += [factor, c // factor]
+    return sorted(primes)
+
+
+@pytest.mark.parametrize(
+    "n, d, primes",
+    [
+        (2**101 - 1, 101, [7432339208719, 341117531003194129]),
+        (2**125 - 1, 125, [269089806001, 4710883168879506001]),
+        # Every prime of the piece has smooth q - 1: stage 1 alone splits it.
+        (2**119 - 1, 119, [20231, 62983048367, 131105292137]),
+    ],
+    ids=["2^101-1", "2^125-1", "2^119-1"],
+)
+def test_pm1_alone_splits_the_hard_pieces(n, d, primes):
+    (piece,) = [piece for j, piece in _cyclotomic_pieces(n) if j == d]
+    for q in primes_up_to(TRIAL_DIVISION_BOUND):
+        while piece % q == 0:
+            piece //= q
+    assert _split_by_pm1(piece, 2 * d) == primes
+
+
+def _prime_needing(big: int, e: int = 2) -> int:
+    """The smallest prime q = 1 + e*big*k, k >= 1, with the order of 3 mod
+    q divisible by the prime `big`, so that p-1 with base 3 needs big."""
+    k = 1
+    while True:
+        q = 1 + e * big * k
+        if is_prime(q) and pow(3, (q - 1) // big, q) != 1:
+            return q
+        k += 1
+
+
+# A safe prime: r - 1 = 2 * 500000000273, whose large prime p-1 never reaches.
+SAFE_PRIME = 1000000000547
+
+
+@pytest.mark.parametrize(
+    "big, found",
+    # <= B1, <= B2, and above B2 by more than the stage-2 wheel
+    [(39989, True), (611953, True), (1500007, False)],
+)
+def test_pm1_finds_a_prime_with_smooth_q_minus_1(big, found):
+    assert (big <= PM1_B2) == found
+    q = _prime_needing(big)
+    assert max(p for p, _ in factorize((q - 1) // big).factors) <= 1000
+    factor, _ = _pollard_pm1(q * SAFE_PRIME)
+    assert factor == (q if found else None)
+
+
+def test_pm1_multiplies_e_into_the_exponent():
+    # Every prime of a piece for d is 1 mod e = lcm(2, d), so p-1 with e in
+    # the exponent needs only the rest of q - 1 to be smooth, even when d is
+    # a prime far above both bounds (stage 2 reaches past b2 by at most one
+    # wheel, 2310).
+    d, b1, b2 = 10007, 100, 1000
+    e = 2 * d
+    q, r = _prime_needing(d), _prime_needing(10**9 + 7, e)
+    assert (q - 1) % e == 0 and (r - 1) % e == 0
+    assert max(p for p, _ in factorize((q - 1) // e).factors) <= b1
+    assert _pollard_pm1(q * r, e, b1, b2)[0] == q
+    assert _pollard_pm1(q * r, 2, b1, b2)[0] is None
+
+
+def test_pm1_replays_a_chunk_in_which_every_prime_completes():
+    chunks = _stage1_chunks(PM1_B1)
+    index = 20
+    _, low, high = chunks[index]
+    q1, q2 = _prime_needing(low), _prime_needing(high)
+    before = 2 * math.prod(x for x, _, _ in chunks[:index])
+    after = before * chunks[index][0]
+    for q in (q1, q2):
+        assert pow(3, before, q) != 1 and pow(3, after, q) == 1
+    # So the gcd after chunk 20 is n, and the replay one prime at a time
+    # stops at low, where q1 has completed and q2 has not.
+    assert _pollard_pm1(q1 * q2)[0] == q1
+
+
+def test_pm1_charges_its_whole_cost_when_it_fails():
+    # F7's prime 59649589127497217 has q - 1 = 2^9 * 116503103764643.
+    for e in (2, 256):
+        assert _pollard_pm1(2**128 + 1, e) == (None, _pm1_cost(e))
+
+
+def test_factorize_charges_pm1_against_the_budget():
+    # Two safe primes: p-1 runs and fails, and then rho needs `needed`
+    # squarings in all, more than the rho slice.
+    n = 24398498963 * 39296689547
+    _, needed = _rho_brent(n, 10**7)
+    cost = _pm1_cost(2)
+    assert needed > RHO_SLICE + 128
+    assert factorize(n, max_iterations=needed + cost).factors == (
+        (24398498963, 1),
+        (39296689547, 1),
+    )
+    budget = needed + cost - 128
+    with pytest.raises(FactorizationTimeout) as info:
+        factorize(n, max_iterations=budget)
+    assert info.value.stage == "p-1"
+    assert budget <= info.value.iterations <= budget + 128
+
+
+def test_factorize_timeout_names_the_stage():
+    with pytest.raises(FactorizationTimeout) as info:
+        factorize(1000003 * 1000033, max_iterations=10)
+    assert info.value.stage == "rho"
+    # F7 at a budget that covers the rho slice and p-1: p-1 runs, fails, and
+    # the resumed rho runs out.
+    budget = 400_000
+    with pytest.raises(FactorizationTimeout) as info:
+        factorize(2**128 + 1, max_iterations=budget)
+    assert info.value.stage == "p-1"
+    assert info.value.cofactor == 2**128 + 1
+    assert f"after {info.value.iterations} rho and p-1 iterations" in str(info.value)
+    chunk = max(x.bit_length() for x, _, _ in _stage1_chunks(PM1_B1))
+    assert budget <= info.value.iterations <= budget + chunk
+
+
+def test_factorize_with_pm1_before_rho_matches_plain_oracle(monkeypatch):
+    # With no rho slice, p-1 is the first hunt on every composite piece.
+    monkeypatch.setattr(twogen.arith, "RHO_SLICE", 0)
+    for m in range(1, 81):
+        for n in (2**m - 1, 2**m + 1):
+            assert factorize(n).factors == _factorize_plain(n), n
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ from twogen.semigroup import (
     TwoGeneratorSemigroup,
     count_by_genus,
     count_two_generator,
+    deepest_level,
     enumerate_by_genus,
     gap_set,
     sylvester_genus,
@@ -90,7 +91,7 @@ def test_enumeration_genus_zero():
 
 
 def test_enumeration_budget():
-    for census in (enumerate_by_genus, count_by_genus):
+    for census in (enumerate_by_genus, count_by_genus, deepest_level):
         with pytest.raises(BudgetExceeded):
             census(26)
         with pytest.raises(BudgetExceeded):
@@ -216,3 +217,9 @@ def test_count_by_genus_matches_full_levels(census_20):
     expected = [(len(nodes), count_two_generator(nodes)) for nodes in census_20]
     for g in range(21):
         assert count_by_genus(g) == expected[: g + 1], g
+
+
+def test_deepest_level_matches_full_levels(census_20):
+    expected = [(len(nodes), count_two_generator(nodes)) for nodes in census_20]
+    for g in range(21):
+        assert deepest_level(g) == (expected[: g + 1], census_20[g]), g
