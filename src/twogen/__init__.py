@@ -49,7 +49,6 @@ from .semigroup import (
     TwoGeneratorSemigroup,
     count_by_genus,
     count_two_generator,
-    deepest_level,
     enumerate_by_genus,
     gap_set,
     sylvester_genus,

@@ -266,25 +266,25 @@ def _advance(
     return None, used
 
 
-def _stage1_primes(lo: int, hi: int, b1: int) -> Iterator[int]:
-    """The primes q in [lo, hi], hi <= b1, each repeated k times, where q^k
-    is the largest power of q that is <= b1: the stage-1 exponent of p-1
-    is their product."""
+def _stage1_primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes q in [lo, hi], hi <= PM1_B1, each repeated k times, where
+    q^k is the largest power of q that is <= PM1_B1: the stage-1 exponent of
+    p-1 is their product."""
     for q in itertools.compress(range(lo, hi + 1), _prime_flags(hi)[lo:]):
         power = q
-        while power <= b1:
+        while power <= PM1_B1:
             yield q
             power *= q
 
 
 @functools.cache
-def _stage1_chunks(b1: int) -> tuple[tuple[int, int, int], ...]:
+def _stage1_chunks() -> tuple[tuple[int, int, int], ...]:
     """The stage-1 exponent of p-1 cut into chunks of about PM1_CHUNK_BITS
     bits: (chunk product, first prime, last prime), each prime of the chunk
-    with all its repeats."""
+    with all its repeats.  Raising to a chunk costs its bit length."""
     chunks = []
     product, first, last = 1, 2, 2
-    for q in _stage1_primes(2, b1, b1):
+    for q in _stage1_primes(2, PM1_B1):
         if q != last and product.bit_length() >= PM1_CHUNK_BITS:
             chunks.append((product, first, last))
             product, first = 1, q
@@ -294,43 +294,49 @@ def _stage1_chunks(b1: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(chunks)
 
 
-def _pm1_giant_steps(b1: int, b2: int) -> range:
-    """Multipliers v of the stage-2 giant steps v*D: every prime q in
-    (b1, b2] is v*D +- u for one of them and some 0 < u < D/2."""
-    return range(b1 // PM1_WHEEL, b2 // PM1_WHEEL + 2)
+# Multipliers v of the stage-2 giant steps v*D: every prime q in
+# (PM1_B1, PM1_B2] is v*D +- u for one of them and some 0 < u < D/2.
+_PM1_GIANTS = range(PM1_B1 // PM1_WHEEL, PM1_B2 // PM1_WHEEL + 2)
+# Stage-2 charges: the baby values and the first giant step, then each
+# giant step with its products against every baby value.
+_PM1_STAGE2_SETUP = PM1_WHEEL // 2 + 2 * (_PM1_GIANTS.start * PM1_WHEEL).bit_length()
+_PM1_GIANT_COST = len(_PM1_BABIES) + 2
 
 
-def _pm1_cost(e: int, b1: int = PM1_B1, b2: int = PM1_B2) -> int:
-    """Modular squarings and multiplications that `_pollard_pm1` spends on
-    a number it cannot split, without a replay after a gcd equal to n."""
-    stage1 = e.bit_length() + sum(x.bit_length() for x, _, _ in _stage1_chunks(b1))
-    giants = _pm1_giant_steps(b1, b2)
-    setup = PM1_WHEEL // 2 + 2 * (giants.start * PM1_WHEEL).bit_length()
-    return stage1 + setup + len(giants) * (len(_PM1_BABIES) + 2)
+@functools.cache
+def _pm1_fixed_cost() -> int:
+    """What `_pollard_pm1` spends on a number it cannot split, without a
+    replay after a gcd equal to n, apart from the e.bit_length() for e."""
+    stage1 = sum(chunk.bit_length() for chunk, _, _ in _stage1_chunks())
+    return stage1 + _PM1_STAGE2_SETUP + len(_PM1_GIANTS) * _PM1_GIANT_COST
 
 
-def _pollard_pm1(
-    n: int, e: int = 2, b1: int = PM1_B1, b2: int = PM1_B2
-) -> tuple[int | None, int]:
+def _pm1_cost(e: int) -> int:
+    """Modular squarings and multiplications that `_pollard_pm1(n, e)`
+    spends on a number it cannot split."""
+    return e.bit_length() + _pm1_fixed_cost()
+
+
+def _pollard_pm1(n: int, e: int = 2) -> tuple[int | None, int]:
     """Pollard's p-1 (1974) for a factor of the odd composite n, prime to
     PM1_BASE, with e multiplied into the exponent because every prime of n
     is 1 (mod e).
 
     Stage 1 raises a = PM1_BASE to e and then to each chunk of the
-    b1-smooth exponent, with a gcd after every chunk.  A gcd equal to n
+    PM1_B1-smooth exponent, with a gcd after every chunk.  A gcd equal to n
     means all primes of n completed in that chunk; it is replayed one prime
     at a time, so a number whose primes all have smooth q - 1 still splits.
-    Stage 2 catches one more prime of q - 1 up to b2 by baby steps and
+    Stage 2 catches one more prime of q - 1 up to PM1_B2 by baby steps and
     giant steps over the wheel D = PM1_WHEEL.  With f(t) = b^t + b^-t,
     f(vD) - f(u) = b^-vD (b^vD - b^u)(b^vD - b^-u), so one product covers
-    both vD - u and vD + u, and no prime list above b1 is built.  Every
-    modular squaring or multiplication is charged one iteration.  Returns
-    (factor_or_None, iterations_used).
+    both vD - u and vD + u, and no prime list above PM1_B1 is built.  Every
+    modular squaring or multiplication is charged one iteration, as
+    `_pm1_cost` totals them.  Returns (factor_or_None, iterations_used).
     """
     x = pow(PM1_BASE, e, n)
     used = e.bit_length()
     g = math.gcd(x - 1, n)
-    for chunk, first, last in _stage1_chunks(b1):
+    for chunk, first, last in _stage1_chunks():
         if g != 1:
             break
         y = pow(x, chunk, n)
@@ -338,7 +344,7 @@ def _pollard_pm1(
         g = math.gcd(y - 1, n)
         if g == n:
             # Every prime of n completed inside this chunk: replay it.
-            for q in _stage1_primes(first, last, b1):
+            for q in _stage1_primes(first, last):
                 x = pow(x, q, n)
                 used += q.bit_length()
                 g = math.gcd(x - 1, n)
@@ -356,18 +362,17 @@ def _pollard_pm1(
         if u in _PM1_BABIES:
             babies.append((up + down) % n)
         up, down = up * square_up % n, down * square_down % n
-    giants = _pm1_giant_steps(b1, b2)
     step_up = pow(x, PM1_WHEEL, n)
     step_down = pow(inverse, PM1_WHEEL, n)
-    up = pow(step_up, giants.start, n)
-    down = pow(step_down, giants.start, n)
-    used += PM1_WHEEL // 2 + 2 * (giants.start * PM1_WHEEL).bit_length()
+    up = pow(step_up, _PM1_GIANTS.start, n)
+    down = pow(step_down, _PM1_GIANTS.start, n)
+    used += _PM1_STAGE2_SETUP
     product = 1
-    for _ in giants:
+    for _ in _PM1_GIANTS:
         giant = up + down
         for baby in babies:
             product = product * (giant - baby) % n
-        used += len(babies) + 2
+        used += _PM1_GIANT_COST
         g = math.gcd(product, n)
         if g == n:
             g = next((h for h in (math.gcd(giant - b, n) for b in babies) if h > 1), n)

@@ -163,11 +163,11 @@ def count_by_genus(
 
 
 def deepest_level(
-    max_genus: int, genus_cap: int = DEFAULT_GENUS_CAP
+    max_genus: int,
 ) -> tuple[list[tuple[int, int]], list[SemigroupNode]]:
     """`count_by_genus(max_genus)` and the last level of
     `enumerate_by_genus(max_genus)`, holding only the nodes of that level."""
-    _check_genus(max_genus, genus_cap)
+    _check_genus(max_genus, DEFAULT_GENUS_CAP)
     return _census(max_genus, keep_deepest=True)
 
 

@@ -9,6 +9,7 @@ import twogen.arith
 from twogen.arith import (
     PM1_B1,
     PM1_B2,
+    PM1_WHEEL,
     RHO_SLICE,
     TRIAL_DIVISION_BOUND,
     FactorizationTimeout,
@@ -231,9 +232,11 @@ def test_cyclotomic_piece_primes_are_one_mod_lcm():
                     assert p % e == 1 or p == largest, (n, d, p)
 
 
-def test_factorize_2_101_minus_1_within_reduced_budget():
+def test_factorize_2_101_minus_1_within_reduced_budget(monkeypatch):
     # Rho on x^202 + c needs 3.24 million squarings here, plain x^2 + c
-    # about 7.2 million.
+    # about 7.2 million.  p-1 would split it well inside the budget, so it
+    # is priced out: the rho map alone has to succeed.
+    monkeypatch.setattr(twogen.arith, "_pm1_cost", lambda e: 10**18)
     fact = factorize(2**101 - 1, max_iterations=3_500_000)
     assert fact.factors == ((7432339208719, 1), (341117531003194129, 1))
 
@@ -308,19 +311,20 @@ def test_pm1_finds_a_prime_with_smooth_q_minus_1(big, found):
 def test_pm1_multiplies_e_into_the_exponent():
     # Every prime of a piece for d is 1 mod e = lcm(2, d), so p-1 with e in
     # the exponent needs only the rest of q - 1 to be smooth, even when d is
-    # a prime far above both bounds (stage 2 reaches past b2 by at most one
-    # wheel, 2310).
-    d, b1, b2 = 10007, 100, 1000
+    # a prime above both bounds (stage 2 reaches past PM1_B2 by less than
+    # two wheels).
+    d = 1_010_069
+    assert is_prime(d) and d > PM1_B2 + 2 * PM1_WHEEL
     e = 2 * d
     q, r = _prime_needing(d), _prime_needing(10**9 + 7, e)
     assert (q - 1) % e == 0 and (r - 1) % e == 0
-    assert max(p for p, _ in factorize((q - 1) // e).factors) <= b1
-    assert _pollard_pm1(q * r, e, b1, b2)[0] == q
-    assert _pollard_pm1(q * r, 2, b1, b2)[0] is None
+    assert max(p for p, _ in factorize((q - 1) // e).factors) <= PM1_B1
+    assert _pollard_pm1(q * r, e)[0] == q
+    assert _pollard_pm1(q * r, 2)[0] is None
 
 
 def test_pm1_replays_a_chunk_in_which_every_prime_completes():
-    chunks = _stage1_chunks(PM1_B1)
+    chunks = _stage1_chunks()
     index = 20
     _, low, high = chunks[index]
     q1, q2 = _prime_needing(low), _prime_needing(high)
@@ -369,7 +373,7 @@ def test_factorize_timeout_names_the_stage():
     assert info.value.stage == "p-1"
     assert info.value.cofactor == 2**128 + 1
     assert f"after {info.value.iterations} rho and p-1 iterations" in str(info.value)
-    chunk = max(x.bit_length() for x, _, _ in _stage1_chunks(PM1_B1))
+    chunk = max(x.bit_length() for x, _, _ in _stage1_chunks())
     assert budget <= info.value.iterations <= budget + chunk
 
 

@@ -91,13 +91,17 @@ def test_enumeration_genus_zero():
 
 
 def test_enumeration_budget():
-    for census in (enumerate_by_genus, count_by_genus, deepest_level):
+    for census in (enumerate_by_genus, count_by_genus):
         with pytest.raises(BudgetExceeded):
             census(26)
         with pytest.raises(BudgetExceeded):
             census(4, genus_cap=3)
         with pytest.raises(ValueError):
             census(-1)
+    with pytest.raises(BudgetExceeded):
+        deepest_level(26)
+    with pytest.raises(ValueError):
+        deepest_level(-1)
 
 
 def test_nodes_are_consistent():
