@@ -1,7 +1,7 @@
 """Integer kernel: modular helpers, primality, factorization, radicals.
 
 Everything works on Python's arbitrary-precision ints.  Primality is
-deterministic below ~3.3e24 (fixed Miller-Rabin witness set) and
+deterministic below ~3.3e24 (Miller-Rabin, fewest proven bases) and
 probabilistic above (40 extra rounds, error < 4**-40).  Factorization runs
 trial division up to a fixed bound, then hunts each composite cofactor in
 three steps under one iteration budget: a short slice of Pollard rho with
@@ -26,6 +26,7 @@ proven by is_prime.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -48,9 +49,26 @@ PM1_BASE = 3
 _PM1_BABIES = frozenset(u for u in range(1, PM1_WHEEL // 2) if math.gcd(u, PM1_WHEEL) == 1)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-# Miller-Rabin with the first 13 primes as witnesses is exact below this bound.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to the first k prime bases (Jaeschke
+# 1993; Sorenson and Webster 2015; OEIS A014233): Miller-Rabin with the
+# first k bases of _MR_WITNESSES is exact below psi_k.
+_MR_PSI = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_MR_DETERMINISTIC_BELOW = _MR_PSI[-1]
 _MR_EXTRA_ROUNDS = 40
 
 
@@ -85,10 +103,15 @@ class Factorization:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def check(self) -> None:
-        """Re-verify all invariants; raises ValueError on any violation."""
+    def check(self, proven: set[int] | None = None) -> None:
+        """Re-verify all invariants; raises ValueError on any violation.
+
+        Primes in `proven` are not tested again, and every prime this check
+        proves is added to it."""
         if self.value < 1:
             raise ValueError(f"value must be positive, got {self.value}")
+        if proven is None:
+            proven = set()
         product = 1
         last = 1
         for p, e in self.factors:
@@ -96,8 +119,10 @@ class Factorization:
                 raise ValueError(f"primes not strictly increasing at {p}")
             if e < 1:
                 raise ValueError(f"exponent of {p} must be >= 1, got {e}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            if p not in proven:
+                if not is_prime(p):
+                    raise ValueError(f"{p} is not prime")
+                proven.add(p)
             product *= p**e
             last = p
         if product != self.value:
@@ -129,7 +154,10 @@ def is_prime(n: int) -> bool:
         d //= 2
         s += 1
     witnesses: tuple[int, ...] | list[int] = _MR_WITNESSES
-    if n >= _MR_DETERMINISTIC_BELOW:
+    if n < _MR_DETERMINISTIC_BELOW:
+        # The first k bases, for the least k with n < psi_k.
+        witnesses = _MR_WITNESSES[: bisect.bisect_right(_MR_PSI, n) + 1]
+    else:
         # Probabilistic regime; bases drawn from an n-seeded stream so runs
         # stay reproducible.
         rng = random.Random(n)

@@ -10,23 +10,14 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+# The layers of M(k) are imported here; every other layer, and json, is
+# imported by the command that runs it, so `twogen modulus` loads no more.
 from .arith import FactorizationTimeout
 from .counting import special_factorizations, surviving_exponents
 from .factor_cache import FactorCache
-from .indicators import reduce_power
 from .modulus import dependence_check, modulus_of
-from .reduction import euclidean_trace, normalize_target, reduce, verify_reduction
-from .semigroup import BudgetExceeded, count_by_genus, deepest_level
-from .synthesis import (
-    SynthesisBlocked,
-    minimal_modulus,
-    render,
-    synthesize,
-    verify_formula,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -34,8 +25,48 @@ EXIT_USAGE = 2
 EXIT_BLOCKED = 3
 
 
+class _LayerError(Exception):
+    """An error of a layer that only the commands import, raised again by
+    the command with the exit code `main` returns for it, so that `main`
+    itself imports none of those layers."""
+
+    def __init__(self, code: int, error: Exception):
+        super().__init__(str(error))
+        self.code = code
+
+
 def _emit_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
+
+
+def _emit_json_listing(payload: dict, key: str, items) -> None:
+    """Print `json.dumps({**payload, key: list(items)}, indent=2)`, dumping
+    and writing one item at a time rather than building the whole list and
+    then one string for it."""
+    import json
+
+    encode = json.JSONEncoder(indent=2).encode
+    head = encode({**payload, key: []})  # ends with '[]\n}'
+    write = sys.stdout.write
+    write(head[:-3])
+    separator = "\n"
+    for item in items:
+        # An item of the list sits two levels deep: four more spaces.
+        write(separator + "    " + encode(item).replace("\n", "\n    "))
+        separator = ",\n"
+    write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
+
+
+def _synthesize(k: int, cache):
+    """The derivation for k; a blocked one exits EXIT_BLOCKED."""
+    from .synthesis import SynthesisBlocked, synthesize
+
+    try:
+        return synthesize(k, cache)
+    except SynthesisBlocked as exc:
+        raise _LayerError(EXIT_BLOCKED, exc) from exc
 
 
 def _factors_text(factors) -> str:
@@ -74,23 +105,29 @@ def cmd_count(args, cache) -> int:
 
 
 def cmd_enumerate(args, cache) -> int:
-    if args.count_only:
-        deepest = None
-        counts = count_by_genus(args.genus)
-    else:
-        counts, deepest = deepest_level(args.genus)
+    from .semigroup import BudgetExceeded, count_by_genus, deepest_level
+
+    try:
+        if args.count_only:
+            deepest = None
+            counts = count_by_genus(args.genus)
+        else:
+            counts, deepest = deepest_level(args.genus)
+    except BudgetExceeded as exc:
+        raise _LayerError(EXIT_USAGE, exc) from exc
     rows = [
         {"genus": g, "total": total, "two_generator": pairs}
         for g, (total, pairs) in enumerate(counts)
     ]
     if args.json:
-        payload: dict = {"levels": rows}
-        if deepest is not None:
-            payload["semigroups"] = [
-                {"gaps": list(n.gaps), "generators": list(n.generators)}
-                for n in deepest
-            ]
-        _emit_json(payload)
+        payload = {"levels": rows}
+        if deepest is None:
+            _emit_json(payload)
+        else:
+            nodes = (
+                {"gaps": list(n.gaps), "generators": list(n.generators)} for n in deepest
+            )
+            _emit_json_listing(payload, "semigroups", nodes)
         return EXIT_OK
     print("genus  total  two-generator")
     for row in rows:
@@ -105,6 +142,8 @@ def cmd_enumerate(args, cache) -> int:
 
 
 def cmd_reduce(args, cache) -> int:
+    from .reduction import euclidean_trace, normalize_target, reduce, verify_reduction
+
     trace = euclidean_trace(args.alpha, args.beta)
     form = reduce(args.alpha, args.beta)
     a, c = normalize_target(form)
@@ -202,7 +241,9 @@ def cmd_verify_dependence(args, cache) -> int:
 
 
 def cmd_derive(args, cache) -> int:
-    formula = synthesize(args.k, cache)
+    from .synthesis import minimal_modulus, render
+
+    formula = _synthesize(args.k, cache)
     if args.json:
         _emit_json(
             {
@@ -231,7 +272,9 @@ def cmd_derive(args, cache) -> int:
 
 
 def cmd_verify(args, cache) -> int:
-    formula = synthesize(args.k, cache)
+    from .synthesis import verify_formula
+
+    formula = _synthesize(args.k, cache)
     check = verify_formula(formula, args.prime_bound)
     if args.json:
         _emit_json(
@@ -255,7 +298,9 @@ def cmd_verify(args, cache) -> int:
 
 
 def cmd_minimal_modulus(args, cache) -> int:
-    formula = synthesize(args.k, cache)
+    from .synthesis import minimal_modulus
+
+    formula = _synthesize(args.k, cache)
     minimal = minimal_modulus(formula)
     if args.json:
         _emit_json(
@@ -274,6 +319,8 @@ def cmd_minimal_modulus(args, cache) -> int:
 
 
 def cmd_xreduce(args, cache) -> int:
+    from .indicators import reduce_power
+
     factors = reduce_power(args.a, args.q, args.s, cache)
     product = "*".join(str(x) for x in factors) if factors else "1"
     if args.json:
@@ -393,10 +440,13 @@ def main(argv=None) -> int:
         if cache.dirty:
             cache.save(args.factor_cache)
         return code
-    except (FactorizationTimeout, SynthesisBlocked) as exc:
+    except _LayerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except FactorizationTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOCKED
-    except (ValueError, OSError, BudgetExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

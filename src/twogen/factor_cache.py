@@ -9,7 +9,8 @@ is meant to be hand-edited, so published factorizations (e.g. Cunningham
 tables for 2^m +- 1) can be pasted in when they are out of reach of the
 built-in factoring.  Every entry is re-verified on load -- product check
 plus a primality check of each listed prime -- so a corrupted file is
-rejected loudly instead of silently poisoning downstream results.
+rejected loudly instead of silently poisoning downstream results.  A prime
+listed in several entries is proven once per load.
 
 Concurrency: reads are safe from any number of threads; mutation follows a
 single-writer discipline and save() is atomic (write to temp, then rename).
@@ -74,6 +75,7 @@ class FactorCache:
         path = Path(path)
         if not path.exists():
             return cache
+        proven: set[int] = set()  # each distinct prime is proven once
         for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -98,7 +100,7 @@ class FactorCache:
                 raise ParseError(lineno, f"duplicate entry for {value}")
             fact = Factorization(value, tuple(factors))
             try:
-                fact.check()
+                fact.check(proven)
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
             cache._entries[value] = fact.factors

@@ -12,6 +12,8 @@ from twogen.arith import (
     PM1_WHEEL,
     RHO_SLICE,
     TRIAL_DIVISION_BOUND,
+    _MR_PSI,
+    _MR_WITNESSES,
     FactorizationTimeout,
     Factorization,
     NotInvertible,
@@ -65,6 +67,32 @@ def test_is_prime_agrees_with_sieve():
     sieve = set(primes_up_to(5000))
     for n in range(5000):
         assert is_prime(n) == (n in sieve)
+
+
+def test_is_prime_agrees_with_sieve_below_2e6():
+    # Crosses psi_1 = 2047 and psi_2 = 1373653, so the one- and two-base
+    # tiers each meet the composites that need the next base.
+    bound = 2 * 10**6
+    flags = bytearray(bound + 1)
+    for p in primes_up_to(bound):
+        flags[p] = 1
+    assert [n for n in range(bound + 1) if is_prime(n) != flags[n]] == []
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+def test_is_prime_rejects_each_psi():
+    # psi_k fools the first k bases, so the tier below it must use k + 1.
+    for k, psi in enumerate(_MR_PSI, start=1):
+        assert all(_strong_probable_prime(psi, a) for a in _MR_WITNESSES[:k]), k
+        assert not is_prime(psi), psi
 
 
 def test_is_prime_large_values():

@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
@@ -6,7 +11,8 @@ from jsonschema import validate
 from twogen import cli
 from twogen import synthesis as synthesis_mod
 from twogen.arith import FactorizationTimeout
-from twogen.synthesis import FormulaCheck
+from twogen.semigroup import count_two_generator, enumerate_by_genus
+from twogen.synthesis import FormulaCheck, SynthesisBlocked
 
 DERIVE_SCHEMA = {
     "type": "object",
@@ -118,6 +124,24 @@ def test_enumerate_json(capsys, tmp_path):
     assert payload["levels"][3] == {"genus": 3, "total": 4, "two_generator": 2}
 
 
+def test_enumerate_json_listing_matches_one_dump(capsys, tmp_path):
+    for genus in range(13):
+        levels = enumerate_by_genus(genus)
+        payload = {
+            "levels": [
+                {"genus": g, "total": len(level), "two_generator": count_two_generator(level)}
+                for g, level in enumerate(levels)
+            ],
+            "semigroups": [
+                {"gaps": list(n.gaps), "generators": list(n.generators)}
+                for n in levels[genus]
+            ],
+        }
+        code, out, _ = run(capsys, tmp_path, "enumerate", "--genus", str(genus), "--json")
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n", genus
+
+
 def test_reduce_text(capsys, tmp_path):
     code, out, _ = run(capsys, tmp_path, "reduce", "--alpha", "5", "--beta", "4")
     assert code == 0
@@ -197,7 +221,7 @@ def test_verify_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     def fake_verify(formula, bound):
         return FormulaCheck(formula.k, bound, 1, ((3, 1, 2),))
 
-    monkeypatch.setattr(cli, "verify_formula", fake_verify)
+    monkeypatch.setattr(synthesis_mod, "verify_formula", fake_verify)
     code, out, _ = run(capsys, tmp_path, "verify", "--k", "3")
     assert code == 1
     assert "MISMATCH at p=3" in out
@@ -235,16 +259,68 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, tmp_path, "enumerate", "--genus", "30")
     assert code == 2
     assert "cap" in err
+    for extra in ((), ("--count-only",), ("--json",)):
+        code, out, err = run(capsys, tmp_path, "enumerate", "--genus", "26", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: genus 26 exceeds the enumeration cap 25\n"
 
 
 def test_blocked_exit_code(capsys, tmp_path, monkeypatch):
     def blocked(k, cache=None):
         raise FactorizationTimeout(2**101 + 1, 2**101 + 1)
 
-    monkeypatch.setattr(cli, "synthesize", blocked)
+    monkeypatch.setattr(synthesis_mod, "synthesize", blocked)
     code, _, err = run(capsys, tmp_path, "derive", "--k", "9")
     assert code == 3
     assert "budget exhausted" in err
+
+
+def test_synthesis_blocked_exit_code(capsys, tmp_path, monkeypatch):
+    def blocked(k, cache=None):
+        raise SynthesisBlocked(k, 4, 2047)
+
+    monkeypatch.setattr(synthesis_mod, "synthesize", blocked)
+    for command in ("derive", "verify", "minimal-modulus"):
+        code, out, err = run(capsys, tmp_path, command, "--k", "9")
+        assert (code, out) == (3, "")
+        assert err == "error: derivation for k=9 blocked at row i=4 on unfactored number 2047\n"
+
+
+# Runs one command in a fresh interpreter, without site-packages, and reports
+# on stderr the exit code, the twogen modules loaded and whether json was.
+_CHILD = """
+import sys
+from twogen import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "twogen" or m.startswith("twogen."))
+print(repr((code, loaded, "json" in sys.modules)), file=sys.stderr)
+"""
+
+
+def _modules_loaded_by(tmp_path, *argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [*argv, "--factor-cache", str(tmp_path / "factors.txt")]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _CHILD, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
+def test_modulus_loads_only_its_layers(tmp_path):
+    modulus_path = [
+        "twogen", "twogen.arith", "twogen.cli", "twogen.counting",
+        "twogen.factor_cache", "twogen.modulus",
+    ]
+    assert _modules_loaded_by(tmp_path, "modulus", "--k", "8") == (0, modulus_path, False)
+    assert _modules_loaded_by(tmp_path, "modulus", "--k", "8", "--json") == (
+        0, modulus_path, True,
+    )
+    code, loaded, _ = _modules_loaded_by(tmp_path, "derive", "--k", "4")
+    assert code == 0
+    assert {"twogen.synthesis", "twogen.indicators", "twogen.reduction"} <= set(loaded)
+    assert "twogen.semigroup" not in loaded
 
 
 def test_byte_identical_reruns(capsys, tmp_path):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twogen.arith
 from twogen.arith import Factorization, FactorizationTimeout, factorize
 from twogen.factor_cache import FactorCache, ParseError
 
@@ -57,6 +58,33 @@ def test_load_rejects_duplicates(tmp_path):
     with pytest.raises(ParseError) as info:
         FactorCache.load(path)
     assert info.value.line == 2
+
+
+def test_load_rejects_a_repeated_non_prime_at_its_first_line(tmp_path):
+    path = tmp_path / "factors.txt"
+    path.write_text("10 = 2 * 5\n45 = 3 * 15\n75 = 5 * 15\n")
+    with pytest.raises(ParseError) as info:
+        FactorCache.load(path)
+    assert info.value.line == 2
+    assert "15 is not prime" in str(info.value)
+
+
+def test_load_proves_each_distinct_prime_once(tmp_path, monkeypatch):
+    proven = []
+    real = twogen.arith.is_prime
+
+    def counting(n):
+        proven.append(n)
+        return real(n)
+
+    monkeypatch.setattr(twogen.arith, "is_prime", counting)
+    path = tmp_path / "factors.txt"
+    path.write_text("10 = 2 * 5\n15 = 3 * 5\n30 = 2 * 3 * 5\n513 = 3^3 * 19\n")
+    assert len(FactorCache.load(path)) == 4
+    assert sorted(proven) == [2, 3, 5, 19]
+    proven.clear()
+    FactorCache.load(path)  # a new load proves them again
+    assert sorted(proven) == [2, 3, 5, 19]
 
 
 def test_save_format(tmp_path):

@@ -1,0 +1,59 @@
+"""The package namespace: `import twogen` is lazy, and each public name is
+the object defined in its home module."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import twogen
+
+# The public names, as the package exported them when it imported every layer.
+PUBLIC = {
+    "BudgetExceeded", "CountingFormula", "EuclideanTrace", "FactorCache",
+    "Factorization", "FactorizationTimeout", "Indicator", "ModulusReport",
+    "NotCoprime", "NotInvertible", "NotOddPrime", "ParseError", "ProductTerm",
+    "ReducedGcd", "SemigroupNode", "SynthesisBlocked", "TwoGeneratorSemigroup",
+    "count_by_genus", "count_prime_power", "count_special", "count_two_generator",
+    "decompose", "dependence_check", "divisors", "enumerate_by_genus",
+    "euclidean_trace", "expand_power", "factorize", "gap_set", "is_prime",
+    "minimal_modulus", "mod_inverse", "modulus_of", "normalize_target",
+    "primitive_root", "radical", "reduce", "reduce_power", "render",
+    "row_modulus", "special_factorizations", "strip_exponent",
+    "surviving_exponents", "sylvester_genus", "synthesize", "synthesize_rows",
+    "verify_formula", "verify_reduction",
+}
+
+
+def test_all_lists_the_public_names():
+    assert set(twogen.__all__) == PUBLIC
+    assert PUBLIC <= set(dir(twogen))
+
+
+def test_each_name_is_the_object_of_its_home_module():
+    for name in twogen.__all__:
+        obj = getattr(twogen, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("twogen."), name
+        assert getattr(home, name) is obj, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        twogen.no_such_name  # noqa: B018
+    assert not hasattr(twogen, "_no_such_private")
+
+
+def test_import_twogen_loads_no_layer():
+    src = Path(twogen.__file__).resolve().parents[1]
+    code = (
+        "import sys, twogen\n"
+        "print(sorted(m for m in sys.modules if m.startswith('twogen')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "['twogen']\n"
