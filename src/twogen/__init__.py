@@ -67,7 +67,6 @@ _EXPORTS = {
         "minimal_modulus",
         "render",
         "synthesize",
-        "synthesize_rows",
         "verify_formula",
     ),
 }

@@ -25,16 +25,6 @@ EXIT_USAGE = 2
 EXIT_BLOCKED = 3
 
 
-class _LayerError(Exception):
-    """An error of a layer that only the commands import, raised again by
-    the command with the exit code `main` returns for it, so that `main`
-    itself imports none of those layers."""
-
-    def __init__(self, code: int, error: Exception):
-        super().__init__(str(error))
-        self.code = code
-
-
 def _emit_json(payload) -> None:
     import json
 
@@ -57,16 +47,6 @@ def _emit_json_listing(payload: dict, key: str, items) -> None:
         write(separator + "    " + encode(item).replace("\n", "\n    "))
         separator = ",\n"
     write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
-
-
-def _synthesize(k: int, cache):
-    """The derivation for k; a blocked one exits EXIT_BLOCKED."""
-    from .synthesis import SynthesisBlocked, synthesize
-
-    try:
-        return synthesize(k, cache)
-    except SynthesisBlocked as exc:
-        raise _LayerError(EXIT_BLOCKED, exc) from exc
 
 
 def _factors_text(factors) -> str:
@@ -105,16 +85,13 @@ def cmd_count(args, cache) -> int:
 
 
 def cmd_enumerate(args, cache) -> int:
-    from .semigroup import BudgetExceeded, count_by_genus, deepest_level
+    from .semigroup import count_by_genus, deepest_level
 
-    try:
-        if args.count_only:
-            deepest = None
-            counts = count_by_genus(args.genus)
-        else:
-            counts, deepest = deepest_level(args.genus)
-    except BudgetExceeded as exc:
-        raise _LayerError(EXIT_USAGE, exc) from exc
+    if args.count_only:
+        deepest = None
+        counts = count_by_genus(args.genus)
+    else:
+        counts, deepest = deepest_level(args.genus)
     rows = [
         {"genus": g, "total": total, "two_generator": pairs}
         for g, (total, pairs) in enumerate(counts)
@@ -241,9 +218,9 @@ def cmd_verify_dependence(args, cache) -> int:
 
 
 def cmd_derive(args, cache) -> int:
-    from .synthesis import minimal_modulus, render
+    from .synthesis import minimal_modulus, render, synthesize
 
-    formula = _synthesize(args.k, cache)
+    formula = synthesize(args.k, cache)
     if args.json:
         _emit_json(
             {
@@ -272,9 +249,9 @@ def cmd_derive(args, cache) -> int:
 
 
 def cmd_verify(args, cache) -> int:
-    from .synthesis import verify_formula
+    from .synthesis import synthesize, verify_formula
 
-    formula = _synthesize(args.k, cache)
+    formula = synthesize(args.k, cache)
     check = verify_formula(formula, args.prime_bound)
     if args.json:
         _emit_json(
@@ -298,9 +275,9 @@ def cmd_verify(args, cache) -> int:
 
 
 def cmd_minimal_modulus(args, cache) -> int:
-    from .synthesis import minimal_modulus
+    from .synthesis import minimal_modulus, synthesize
 
-    formula = _synthesize(args.k, cache)
+    formula = synthesize(args.k, cache)
     minimal = minimal_modulus(formula)
     if args.json:
         _emit_json(
@@ -440,9 +417,8 @@ def main(argv=None) -> int:
         if cache.dirty:
             cache.save(args.factor_cache)
         return code
-    except _LayerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    # The class of a layer error decides its code: a derivation blocked on a
+    # row is a factoring timeout, a genus above the census cap a ValueError.
     except FactorizationTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOCKED

@@ -58,19 +58,18 @@ def row_modulus(k: int, i: int) -> int:
     return 2 ** (i // d) - (-1 if (k // d) % 2 else 1)
 
 
-def modulus_of(k: int, cache=None, max_iterations=None) -> ModulusReport:
+def modulus_of(k: int, cache=None) -> ModulusReport:
     """Compute M(k) as the union of the prime supports of the m_k(i)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     per_i = tuple((i, row_modulus(k, i)) for i in range(1, k + 1))
     primes: set[int] = set()
     unfactored = []
-    kwargs = {} if max_iterations is None else {"max_iterations": max_iterations}
     for _, m in per_i:
         if m == 1:
             continue
         try:
-            fact = factorize(m, cache, **kwargs)
+            fact = factorize(m, cache)
         except FactorizationTimeout:
             unfactored.append(m)
             continue
@@ -85,6 +84,8 @@ def modulus_of(k: int, cache=None, max_iterations=None) -> ModulusReport:
 def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     """Group odd primes p <= bound (p not dividing M(k)) by p mod M(k) and
     confirm the direct count n(p^k,2) is constant within each group."""
+    if prime_bound < 3:
+        raise ValueError(f"prime_bound must be >= 3, got {prime_bound}")
     report = modulus_of(k, cache)
     if not report.complete:
         raise FactorizationTimeout(report.unfactored[0], report.unfactored[0])

@@ -19,15 +19,15 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-DEFAULT_GENUS_CAP = 25
+GENUS_CAP = 25
 
 
 class NotCoprime(ValueError):
     """The two generators share a factor, so they generate no numerical semigroup."""
 
 
-class BudgetExceeded(RuntimeError):
-    """The requested genus is beyond the configured enumeration cap."""
+class BudgetExceeded(ValueError):
+    """The requested genus is beyond the enumeration cap GENUS_CAP."""
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,11 @@ def gap_set(s: TwoGeneratorSemigroup) -> tuple[int, ...]:
     return tuple(n for n in range(1, frobenius + 1) if not member >> n & 1)
 
 
-def _check_genus(max_genus: int, genus_cap: int) -> None:
+def _check_genus(max_genus: int) -> None:
     if max_genus < 0:
         raise ValueError(f"max_genus must be >= 0, got {max_genus}")
-    if max_genus > genus_cap:
-        raise BudgetExceeded(
-            f"genus {max_genus} exceeds the enumeration cap {genus_cap}"
-        )
+    if max_genus > GENUS_CAP:
+        raise BudgetExceeded(f"genus {max_genus} exceeds the enumeration cap {GENUS_CAP}")
 
 
 def _walk(max_genus: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
@@ -117,16 +115,14 @@ def _walk(max_genus: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...
             stack.append((child_gens, gaps + (m,), child_holes, m))
 
 
-def enumerate_by_genus(
-    max_genus: int, genus_cap: int = DEFAULT_GENUS_CAP
-) -> list[list[SemigroupNode]]:
+def enumerate_by_genus(max_genus: int) -> list[list[SemigroupNode]]:
     """All numerical semigroups of genus 0..max_genus, one list per genus.
 
     Children of a semigroup S are S minus one minimal generator above the
     Frobenius number, which reaches every semigroup exactly once.  Levels
     are sorted by gap set, so output order is deterministic.
     """
-    _check_genus(max_genus, genus_cap)
+    _check_genus(max_genus)
     levels: list[list[SemigroupNode]] = [[] for _ in range(max_genus + 1)]
     for genus, gens, gaps in _walk(max_genus):
         levels[genus].append(SemigroupNode(gens, gaps, genus))
@@ -150,15 +146,13 @@ def _census(
     return list(zip(totals, pairs)), deepest
 
 
-def count_by_genus(
-    max_genus: int, genus_cap: int = DEFAULT_GENUS_CAP
-) -> list[tuple[int, int]]:
+def count_by_genus(max_genus: int) -> list[tuple[int, int]]:
     """(total, two-generator) census counts for genus 0..max_genus.
 
     Equal to the sizes and `count_two_generator` values of the levels of
     `enumerate_by_genus`, without building any node.
     """
-    _check_genus(max_genus, genus_cap)
+    _check_genus(max_genus)
     return _census(max_genus, keep_deepest=False)[0]
 
 
@@ -167,7 +161,7 @@ def deepest_level(
 ) -> tuple[list[tuple[int, int]], list[SemigroupNode]]:
     """`count_by_genus(max_genus)` and the last level of
     `enumerate_by_genus(max_genus)`, holding only the nodes of that level."""
-    _check_genus(max_genus, DEFAULT_GENUS_CAP)
+    _check_genus(max_genus)
     return _census(max_genus, keep_deepest=True)
 
 

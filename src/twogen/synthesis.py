@@ -25,16 +25,18 @@ from .indicators import Indicator, _sort_key, reduce_power
 from .reduction import normalize_target, reduce
 
 
-class SynthesisBlocked(RuntimeError):
-    """A number the derivation needed could not be factored in budget.
+class SynthesisBlocked(FactorizationTimeout):
+    """A number the derivation needed could not be factored in budget: a
+    factoring timeout on the row modulus.
 
-    `i` is the exponent row being derived and `modulus` its row modulus c,
-    the number whose factorization ran out.
+    `i` is the exponent row being derived and `modulus` (also `n`) its row
+    modulus c, the number whose factorization ran out.
     """
 
     def __init__(self, k: int, i: int, modulus: int):
-        super().__init__(
-            f"derivation for k={k} blocked at row i={i} on unfactored number {modulus}"
+        super().__init__(modulus, modulus)
+        self.args = (
+            f"derivation for k={k} blocked at row i={i} on unfactored number {modulus}",
         )
         self.k = k
         self.i = i
@@ -126,8 +128,9 @@ class FormulaCheck:
         return not self.mismatches
 
 
-def synthesize_rows(k: int, cache=None) -> tuple[SynthesisRow, ...]:
-    """The per-exponent reduction table behind the formula for n(p^k,2)."""
+def synthesize(k: int, cache=None) -> CountingFormula:
+    """Derive the canonical counting formula for n(p^k,2), keeping the
+    per-exponent reduction table behind it in `rows`."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rows = [SynthesisRow(0, 0, 0, 1, ())]  # gcd(2, 2p^k + 1) = 1 for odd p
@@ -140,23 +143,22 @@ def synthesize_rows(k: int, cache=None) -> tuple[SynthesisRow, ...]:
         try:
             factors = reduce_power(residue, c, form.delta, cache)
         except FactorizationTimeout as exc:
-            raise SynthesisBlocked(k, i, exc.n) from exc
+            blocked = SynthesisBlocked(k, i, exc.n)
+            blocked.cofactor, blocked.iterations = exc.cofactor, exc.iterations
+            blocked.stage = exc.stage
+            raise blocked from exc
         rows.append(SynthesisRow(i, form.delta, residue, c, factors))
     # i = k: gcd(p^k + 1, 2p^0 + 1) = gcd(p^k + 1, 3), an indicator of -1 mod 3.
     rows.append(SynthesisRow(k, k, 2, 3, reduce_power(2, 3, k, cache)))
-    return tuple(rows)
-
-
-def synthesize(k: int, cache=None) -> CountingFormula:
-    """Derive the canonical counting formula for n(p^k,2)."""
-    rows = synthesize_rows(k, cache)
     constant = sum(1 for row in rows if not row.factors)
     terms = tuple(ProductTerm(row.factors) for row in rows if row.factors)
-    return CountingFormula(k, constant, terms, rows)
+    return CountingFormula(k, constant, terms, tuple(rows))
 
 
 def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
     """Compare the formula with the direct count at every odd prime <= bound."""
+    if prime_bound < 3:
+        raise ValueError(f"prime_bound must be >= 3, got {prime_bound}")
     mismatches = []
     checked = 0
     for p in odd_primes_up_to(prime_bound):

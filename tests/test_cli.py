@@ -227,6 +227,13 @@ def test_verify_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     assert "MISMATCH at p=3" in out
 
 
+def test_sweeps_need_an_odd_prime(capsys, tmp_path):
+    for command, k, bound in (("verify", "3", "2"), ("verify-dependence", "1", "1")):
+        code, out, err = run(capsys, tmp_path, command, "--k", k, "--prime-bound", bound)
+        assert (code, out) == (2, "")
+        assert err == f"error: prime_bound must be >= 3, got {bound}\n"
+
+
 def test_verify_dependence(capsys, tmp_path):
     code, out, _ = run(
         capsys, tmp_path, "verify-dependence", "--k", "4", "--prime-bound", "2000"

@@ -81,6 +81,12 @@ def test_dependence_small_k():
     assert report.modulus == 3
 
 
+def test_dependence_needs_an_odd_prime():
+    with pytest.raises(ValueError, match=r"^prime_bound must be >= 3, got 1$"):
+        dependence_check(1, 1)
+    assert dependence_check(1, 3).ok
+
+
 def test_dependence_k4_values():
     report = dependence_check(4, 10_000)
     assert report.ok

@@ -22,8 +22,8 @@ PUBLIC = {
     "minimal_modulus", "mod_inverse", "modulus_of", "normalize_target",
     "primitive_root", "radical", "reduce", "reduce_power", "render",
     "row_modulus", "special_factorizations", "strip_exponent",
-    "surviving_exponents", "sylvester_genus", "synthesize", "synthesize_rows",
-    "verify_formula", "verify_reduction",
+    "surviving_exponents", "sylvester_genus", "synthesize", "verify_formula",
+    "verify_reduction",
 }
 
 

@@ -91,11 +91,10 @@ def test_enumeration_genus_zero():
 
 
 def test_enumeration_budget():
+    assert issubclass(BudgetExceeded, ValueError)
     for census in (enumerate_by_genus, count_by_genus):
         with pytest.raises(BudgetExceeded):
             census(26)
-        with pytest.raises(BudgetExceeded):
-            census(4, genus_cap=3)
         with pytest.raises(ValueError):
             census(-1)
     with pytest.raises(BudgetExceeded):

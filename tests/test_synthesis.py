@@ -19,7 +19,6 @@ from twogen.synthesis import (
     minimal_modulus,
     render,
     synthesize,
-    synthesize_rows,
     verify_formula,
 )
 
@@ -46,7 +45,7 @@ def test_golden_formulas():
 
 
 def test_row_structure():
-    rows = synthesize_rows(9)
+    rows = synthesize(9).rows
     assert len(rows) == 10
     assert rows[0].modulus == 1 and rows[0].factors == ()
     by_i = {row.i: row for row in rows}
@@ -84,6 +83,12 @@ def test_verify_formula():
         assert check.ok and check.primes_checked == 94
 
 
+def test_verify_formula_needs_an_odd_prime():
+    with pytest.raises(ValueError, match=r"^prime_bound must be >= 3, got 2$"):
+        verify_formula(GOLDEN[3], 2)
+    assert verify_formula(GOLDEN[3], 3).primes_checked == 1
+
+
 def test_verify_formula_catches_corruption():
     broken = CountingFormula(9, GOLDEN[9].constant + 1, GOLDEN[9].terms)
     check = verify_formula(broken, 100)
@@ -109,6 +114,27 @@ def test_synthesis_blocked(monkeypatch):
         synthesize(9)
     assert info.value.modulus == 129
     assert info.value.k == 9
+
+
+def test_synthesis_blocked_is_the_row_timeout(monkeypatch):
+    real = indicators_mod.factorize
+    cause = FactorizationTimeout(129, 43, 1234, "p-1")
+
+    def flaky(n, cache=None, **kwargs):
+        if n == 129:
+            raise cause
+        return real(n, cache, **kwargs)
+
+    monkeypatch.setattr(indicators_mod, "factorize", flaky)
+    with pytest.raises(FactorizationTimeout) as info:
+        synthesize(9)
+    blocked = info.value
+    assert isinstance(blocked, SynthesisBlocked) and blocked.__cause__ is cause
+    assert (blocked.k, blocked.i, blocked.modulus) == (9, 7, 129)
+    assert (blocked.n, blocked.cofactor, blocked.iterations, blocked.stage) == (
+        129, 43, 1234, "p-1"
+    )
+    assert str(blocked) == "derivation for k=9 blocked at row i=7 on unfactored number 129"
 
 
 def test_synthesis_never_factors_q_minus_1(monkeypatch):
