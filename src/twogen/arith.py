@@ -32,7 +32,7 @@ import itertools
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TRIAL_DIVISION_BOUND = 10_000
 DEFAULT_RHO_BUDGET = 10_000_000
@@ -96,8 +96,7 @@ class FactorizationTimeout(RuntimeError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """A prime factorization: value == prod(p**e), primes strictly increasing."""
 
     value: int
@@ -127,6 +126,12 @@ class Factorization:
             last = p
         if product != self.value:
             raise ValueError(f"factors multiply to {product}, not {self.value}")
+
+
+def check_prime_bound(prime_bound: int) -> None:
+    """A sweep over the odd primes <= prime_bound needs at least one."""
+    if prime_bound < 3:
+        raise ValueError(f"prime_bound must be >= 3, got {prime_bound}")
 
 
 def mod_inverse(a: int, modulus: int) -> int:

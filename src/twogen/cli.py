@@ -14,7 +14,7 @@ import sys
 
 # The layers of M(k) are imported here; every other layer, and json, is
 # imported by the command that runs it, so `twogen modulus` loads no more.
-from .arith import FactorizationTimeout
+from .arith import FactorizationTimeout, check_prime_bound
 from .counting import special_factorizations, surviving_exponents
 from .factor_cache import FactorCache
 from .modulus import dependence_check, modulus_of
@@ -251,6 +251,7 @@ def cmd_derive(args, cache) -> int:
 def cmd_verify(args, cache) -> int:
     from .synthesis import synthesize, verify_formula
 
+    check_prime_bound(args.prime_bound)  # before the derivation, which may block
     formula = synthesize(args.k, cache)
     check = verify_formula(formula, args.prime_bound)
     if args.json:

@@ -17,30 +17,30 @@ t-th root) or splits it over the t roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, mod_inverse
 
 
-@dataclass(frozen=True)
-class Indicator:
-    """1 if n is outside the class a mod q (q prime), else 0."""
-
+class _IndicatorFields(NamedTuple):
     a: int
     q: int
 
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"modulus must be prime, got {self.q}")
-        object.__setattr__(self, "a", self.a % self.q)
+
+class Indicator(_IndicatorFields):
+    """1 if n is outside the class a mod q (q prime), else 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, q: int) -> "Indicator":
+        if not is_prime(q):
+            raise ValueError(f"modulus must be prime, got {q}")
+        return cls._of_prime(a, q)
 
     @classmethod
     def _of_prime(cls, a: int, q: int) -> "Indicator":
         """Build X(a,q) for a q already proven prime, skipping the check."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "a", a % q)
-        object.__setattr__(x, "q", q)
-        return x
+        return tuple.__new__(cls, (a % q, q))
 
     def __call__(self, n: int) -> int:
         return 0 if (n - self.a) % self.q == 0 else 1

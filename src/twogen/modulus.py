@@ -12,14 +12,19 @@ explicit "incomplete" status rather than failing the whole computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arith import FactorizationTimeout, Factorization, factorize, odd_primes_up_to
+from .arith import (
+    FactorizationTimeout,
+    Factorization,
+    check_prime_bound,
+    factorize,
+    odd_primes_up_to,
+)
 from .counting import _surviving_exponents
 
 
-@dataclass(frozen=True)
-class ModulusReport:
+class ModulusReport(NamedTuple):
     """M(k) with its factorization and the per-row moduli m_k(i)."""
 
     k: int
@@ -33,8 +38,7 @@ class ModulusReport:
         return not self.unfactored
 
 
-@dataclass(frozen=True)
-class DependenceReport:
+class DependenceReport(NamedTuple):
     """Empirical check that n(p^k,2) is constant on residue classes mod M(k)."""
 
     k: int
@@ -84,8 +88,7 @@ def modulus_of(k: int, cache=None) -> ModulusReport:
 def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     """Group odd primes p <= bound (p not dividing M(k)) by p mod M(k) and
     confirm the direct count n(p^k,2) is constant within each group."""
-    if prime_bound < 3:
-        raise ValueError(f"prime_bound must be >= 3, got {prime_bound}")
+    check_prime_bound(prime_bound)
     report = modulus_of(k, cache)
     if not report.complete:
         raise FactorizationTimeout(report.unfactored[0], report.unfactored[0])

@@ -15,13 +15,12 @@ whole gcd collapses to gcd(p^delta - a, c).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arith import odd_primes_up_to
+from .arith import check_prime_bound, odd_primes_up_to
 
 
-@dataclass(frozen=True)
-class EuclideanTrace:
+class EuclideanTrace(NamedTuple):
     """Remainders and quotients of the Euclidean algorithm on (alpha, beta),
     plus the sign exponents s and unit exponents t carried along.
 
@@ -45,8 +44,7 @@ class EuclideanTrace:
         return self.r[-2]
 
 
-@dataclass(frozen=True)
-class ReducedGcd:
+class ReducedGcd(NamedTuple):
     """The target shape gcd(p^delta - sign * 2^two_exp, modulus).
 
     two_exp may be negative (2 is treated as invertible); modulus is the
@@ -59,8 +57,7 @@ class ReducedGcd:
     modulus: int
 
 
-@dataclass(frozen=True)
-class ReductionCheck:
+class ReductionCheck(NamedTuple):
     """Result of sweeping the reduction identity over odd primes."""
 
     alpha: int
@@ -119,8 +116,7 @@ def normalize_target(form: ReducedGcd) -> tuple[int, int]:
 
 def verify_reduction(alpha: int, beta: int, prime_bound: int) -> ReductionCheck:
     """Check gcd(p^alpha+1, 2p^beta+1) == gcd(p^delta - a, c) for odd p <= bound."""
-    if prime_bound < 3:
-        raise ValueError(f"prime_bound must be >= 3, got {prime_bound}")
+    check_prime_bound(prime_bound)
     form = reduce(alpha, beta)
     a, c = normalize_target(form)
     checked = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 GENUS_CAP = 25
 
@@ -30,29 +30,68 @@ class BudgetExceeded(ValueError):
     """The requested genus is beyond the enumeration cap GENUS_CAP."""
 
 
-@dataclass(frozen=True)
-class TwoGeneratorSemigroup:
-    """The semigroup of all non-negative combinations x*a + y*b, gcd(a,b)=1."""
-
+class _TwoGeneratorFields(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a < 2 or self.b < 2:
-            raise ValueError(f"generators must be >= 2, got ({self.a}, {self.b})")
-        if self.a >= self.b:
-            raise ValueError(f"generators must satisfy a < b, got ({self.a}, {self.b})")
-        if math.gcd(self.a, self.b) != 1:
-            raise NotCoprime(f"gcd({self.a}, {self.b}) != 1")
+
+class TwoGeneratorSemigroup(_TwoGeneratorFields):
+    """The semigroup of all non-negative combinations x*a + y*b, gcd(a,b)=1."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> TwoGeneratorSemigroup:
+        if a < 2 or b < 2:
+            raise ValueError(f"generators must be >= 2, got ({a}, {b})")
+        if a >= b:
+            raise ValueError(f"generators must satisfy a < b, got ({a}, {b})")
+        if math.gcd(a, b) != 1:
+            raise NotCoprime(f"gcd({a}, {b}) != 1")
+        return tuple.__new__(cls, (a, b))
 
 
-@dataclass(frozen=True, slots=True)
 class SemigroupNode:
     """One census entry: minimal generators, gap set, genus."""
 
-    generators: tuple[int, ...]
-    gaps: tuple[int, ...]
-    genus: int
+    __slots__ = ("generators", "gaps", "genus")
+
+    def __init__(self, generators: tuple[int, ...], gaps: tuple[int, ...], genus: int):
+        _set_generators(self, generators)
+        _set_gaps(self, gaps)
+        _set_genus(self, genus)
+
+    def _key(self) -> tuple:
+        return (self.generators, self.gaps, self.genus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SemigroupNode(generators={self.generators!r}, gaps={self.gaps!r},"
+            f" genus={self.genus!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SemigroupNode, self._key()
+
+
+# The slots' own setters: a census builds 10^5 and more nodes, and these
+# skip the refusing __setattr__ without an object.__setattr__ call per field.
+_set_generators = SemigroupNode.generators.__set__
+_set_gaps = SemigroupNode.gaps.__set__
+_set_genus = SemigroupNode.genus.__set__
 
 
 def sylvester_genus(s: TwoGeneratorSemigroup) -> int:

@@ -17,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from typing import NamedTuple
 
-from .arith import FactorizationTimeout, odd_primes_up_to
+from .arith import FactorizationTimeout, check_prime_bound, odd_primes_up_to
 from .counting import _surviving_exponents
 from .indicators import Indicator, _sort_key, reduce_power
 from .reduction import normalize_target, reduce
@@ -43,20 +44,23 @@ class SynthesisBlocked(FactorizationTimeout):
         self.modulus = modulus
 
 
-@dataclass(frozen=True)
-class ProductTerm:
+class _ProductTermFields(NamedTuple):
+    factors: tuple[Indicator, ...]
+
+
+class ProductTerm(_ProductTermFields):
     """A product of distinct prime-modulus indicators, kept sorted by (q, a).
 
     Indicators take values in {0,1}, so repeated factors collapse.
     """
 
-    factors: tuple[Indicator, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        normalized = tuple(sorted(set(self.factors), key=_sort_key))
+    def __new__(cls, factors: tuple[Indicator, ...]) -> ProductTerm:
+        normalized = tuple(sorted(set(factors), key=_sort_key))
         if not normalized:
             raise ValueError("a product term needs at least one factor")
-        object.__setattr__(self, "factors", normalized)
+        return tuple.__new__(cls, (normalized,))
 
     def __call__(self, n: int) -> int:
         result = 1
@@ -72,23 +76,55 @@ def _term_key(term: ProductTerm) -> tuple:
     return (len(term.factors), tuple((x.q, x.a) for x in term.factors))
 
 
-@dataclass(frozen=True)
 class CountingFormula:
     """Canonical closed form for n(p^k,2): constant + multiset of products.
 
     Each of the k+1 exponent rows contributes exactly one summand, either 1
     (into the constant) or one product term, so
     constant + len(terms) == k + 1.  A derived formula keeps the rows it
-    came from in `rows`, which equality ignores.
+    came from in `rows`, which equality, hash and repr ignore.
     """
 
-    k: int
-    constant: int
-    terms: tuple[ProductTerm, ...]
-    rows: tuple[SynthesisRow, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("k", "constant", "terms", "rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=_term_key)))
+    def __init__(
+        self,
+        k: int,
+        constant: int,
+        terms: tuple[ProductTerm, ...],
+        rows: tuple[SynthesisRow, ...] = (),
+    ):
+        set_field = object.__setattr__
+        set_field(self, "k", k)
+        set_field(self, "constant", constant)
+        set_field(self, "terms", tuple(sorted(terms, key=_term_key)))
+        set_field(self, "rows", rows)
+
+    def _key(self) -> tuple:
+        return (self.k, self.constant, self.terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"CountingFormula(k={self.k!r}, constant={self.constant!r},"
+            f" terms={self.terms!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return CountingFormula, (*self._key(), self.rows)
 
     def evaluate(self, p: int) -> int:
         return self.constant + sum(term(p) for term in self.terms)
@@ -102,8 +138,7 @@ class CountingFormula:
         return result
 
 
-@dataclass(frozen=True)
-class SynthesisRow:
+class SynthesisRow(NamedTuple):
     """One derivation row: gcd(p^i+1, 2p^(k-i)+1) = gcd(p^exponent - residue,
     modulus), contributing `factors` (empty product = the row is always 1)."""
 
@@ -114,8 +149,7 @@ class SynthesisRow:
     factors: tuple[Indicator, ...]
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(NamedTuple):
     """Result of sweeping a formula against the direct gcd count."""
 
     k: int
@@ -155,15 +189,39 @@ def synthesize(k: int, cache=None) -> CountingFormula:
     return CountingFormula(k, constant, terms, tuple(rows))
 
 
+def _evaluator(formula: CountingFormula) -> Callable[[int], int]:
+    """`formula.evaluate`, reducing p once per distinct prime q.
+
+    Bit j of a mask stands for term j.  Per q, each listed residue a maps
+    to the mask of the terms that have the factor X(a,q), which p = a mod q
+    sets to 0; the value is constant + len(terms) minus the terms killed.
+    """
+    masks: dict[int, dict[int, int]] = {}
+    for j, term in enumerate(formula.terms):
+        for a, q in term.factors:
+            killers = masks.setdefault(q, {})
+            killers[a] = killers.get(a, 0) | 1 << j
+    top = formula.constant + len(formula.terms)
+    per_prime = tuple(masks.items())
+
+    def value(p: int) -> int:
+        killed = 0
+        for q, killers in per_prime:
+            killed |= killers.get(p % q, 0)
+        return top - killed.bit_count()
+
+    return value
+
+
 def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
     """Compare the formula with the direct count at every odd prime <= bound."""
-    if prime_bound < 3:
-        raise ValueError(f"prime_bound must be >= 3, got {prime_bound}")
+    check_prime_bound(prime_bound)
+    evaluate = _evaluator(formula)
     mismatches = []
     checked = 0
     for p in odd_primes_up_to(prime_bound):
         checked += 1
-        got = formula.evaluate(p)
+        got = evaluate(p)
         want = len(_surviving_exponents(p, formula.k))
         if got != want:
             mismatches.append((p, got, want))

@@ -234,6 +234,16 @@ def test_sweeps_need_an_odd_prime(capsys, tmp_path):
         assert err == f"error: prime_bound must be >= 3, got {bound}\n"
 
 
+def test_verify_checks_the_bound_before_deriving(capsys, tmp_path, monkeypatch):
+    def derive(k, cache=None):
+        raise AssertionError("verify derived the formula before checking --prime-bound")
+
+    monkeypatch.setattr(synthesis_mod, "synthesize", derive)
+    code, out, err = run(capsys, tmp_path, "verify", "--k", "129", "--prime-bound", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: prime_bound must be >= 3, got 2\n"
+
+
 def test_verify_dependence(capsys, tmp_path):
     code, out, _ = run(
         capsys, tmp_path, "verify-dependence", "--k", "4", "--prime-bound", "2000"
@@ -294,13 +304,15 @@ def test_synthesis_blocked_exit_code(capsys, tmp_path, monkeypatch):
 
 
 # Runs one command in a fresh interpreter, without site-packages, and reports
-# on stderr the exit code, the twogen modules loaded and whether json was.
+# on stderr the exit code, the twogen modules loaded and which of json,
+# dataclasses and inspect were.
 _CHILD = """
 import sys
 from twogen import cli
 code = cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m == "twogen" or m.startswith("twogen."))
-print(repr((code, loaded, "json" in sys.modules)), file=sys.stderr)
+heavy = [m for m in ("json", "dataclasses", "inspect") if m in sys.modules]
+print(repr((code, loaded, heavy)), file=sys.stderr)
 """
 
 
@@ -320,14 +332,34 @@ def test_modulus_loads_only_its_layers(tmp_path):
         "twogen", "twogen.arith", "twogen.cli", "twogen.counting",
         "twogen.factor_cache", "twogen.modulus",
     ]
-    assert _modules_loaded_by(tmp_path, "modulus", "--k", "8") == (0, modulus_path, False)
+    assert _modules_loaded_by(tmp_path, "modulus", "--k", "8") == (0, modulus_path, [])
     assert _modules_loaded_by(tmp_path, "modulus", "--k", "8", "--json") == (
-        0, modulus_path, True,
+        0, modulus_path, ["json"],
     )
     code, loaded, _ = _modules_loaded_by(tmp_path, "derive", "--k", "4")
     assert code == 0
     assert {"twogen.synthesis", "twogen.indicators", "twogen.reduction"} <= set(loaded)
     assert "twogen.semigroup" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("modulus", "--k", "12"),
+        ("count", "--prime", "7", "--power", "6"),
+        ("derive", "--json", "--k", "12"),
+        ("verify", "--k", "12"),
+        ("reduce", "--alpha", "5", "--beta", "3", "--verify"),
+        ("xreduce", "--a", "8", "--q", "17", "--s", "2"),
+        ("minimal-modulus", "--k", "12"),
+        ("enumerate", "--genus", "8", "--count-only"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    code, loaded, heavy = _modules_loaded_by(tmp_path, *argv)
+    assert code == 0
+    assert "dataclasses" not in heavy and "inspect" not in heavy
 
 
 def test_byte_identical_reruns(capsys, tmp_path):

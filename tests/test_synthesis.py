@@ -16,6 +16,7 @@ from twogen.synthesis import (
     CountingFormula,
     ProductTerm,
     SynthesisBlocked,
+    _evaluator,
     minimal_modulus,
     render,
     synthesize,
@@ -284,6 +285,36 @@ def _formula(constant, *terms):
 @example(_formula(2, [(1, 2), (3, 7)], [(0, 7), (2, 3)]))
 def test_minimal_modulus_matches_residue_scan(formula):
     assert minimal_modulus(formula) == _minimal_modulus_brute(formula)
+
+
+def test_evaluator_matches_evaluate_on_derived_formulas():
+    primes = arith.odd_primes_up_to(10_000)
+    for k in range(1, 41):
+        formula = synthesize(k)
+        evaluate = _evaluator(formula)
+        assert [evaluate(p) for p in primes] == [formula.evaluate(p) for p in primes]
+
+
+@st.composite
+def formulas_with_repeats(draw):
+    """`small_formulas` with some of its terms listed again."""
+    formula = draw(small_formulas())
+    if not formula.terms:
+        return formula
+    repeats = tuple(draw(st.lists(st.sampled_from(formula.terms), max_size=4)))
+    terms = formula.terms + repeats
+    return CountingFormula(formula.k + len(repeats), formula.constant, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas_with_repeats())
+# a repeated term, and X(0,7), which only n = 0 mod 7 kills
+@example(_formula(1, [(0, 7), (2, 3)], [(0, 7), (2, 3)], [(1, 2)], [(0, 7)]))
+def test_evaluator_matches_evaluate_on_random_formulas(formula):
+    evaluate = _evaluator(formula)
+    # -210..209 meets every class mod 2*3*5*7 twice, negatives included
+    for n in range(-210, 210):
+        assert evaluate(n) == formula.evaluate(n)
 
 
 def test_render_flat():
