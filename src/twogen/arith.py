@@ -39,11 +39,10 @@ DEFAULT_RHO_BUDGET = 10_000_000
 # Squarings of the first rho run on each piece, before p-1 is tried.
 RHO_SLICE = 1 << 16
 # Pollard p-1: stage-1 bound, stage-2 bound, the wheel of the stage-2
-# giant steps, the size of a stage-1 chunk between gcds, and the base.
+# giant steps, and the base.
 PM1_B1 = 50_000
 PM1_B2 = 1_000_000
 PM1_WHEEL = 2 * 3 * 5 * 7 * 11
-PM1_CHUNK_BITS = 1024
 PM1_BASE = 3
 # The baby steps u: 0 < u < D/2 and coprime to D, as every prime above 11 is.
 _PM1_BABIES = frozenset(u for u in range(1, PM1_WHEEL // 2) if math.gcd(u, PM1_WHEEL) == 1)
@@ -255,7 +254,7 @@ def _rho_batches(n: int, e: int = 2) -> Iterator[tuple[int | None, int]]:
             while k < r:
                 count = min(m, r - k)
                 for _ in range(count):
-                    y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
+                    y = (pow(y, e, n) + c) % n
                 k += count
                 used += count * cost
                 yield None, used
@@ -264,7 +263,7 @@ def _rho_batches(n: int, e: int = 2) -> Iterator[tuple[int | None, int]]:
                 ys = y
                 count = min(m, r - k)
                 for _ in range(count):
-                    y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
+                    y = (pow(y, e, n) + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += count
@@ -276,7 +275,7 @@ def _rho_batches(n: int, e: int = 2) -> Iterator[tuple[int | None, int]]:
             # Batched gcd overshot; replay one step at a time.
             g = 1
             while g == 1:
-                ys = ((ys * ys if e == 2 else pow(ys, e, n)) + c) % n
+                ys = (pow(ys, e, n) + c) % n
                 g = math.gcd(abs(x - ys), n)
                 used += cost
         if g < n:
@@ -299,32 +298,17 @@ def _advance(
     return None, used
 
 
-def _stage1_primes(lo: int, hi: int) -> Iterator[int]:
-    """The primes q in [lo, hi], hi <= PM1_B1, each repeated k times, where
-    q^k is the largest power of q that is <= PM1_B1: the stage-1 exponent of
-    p-1 is their product."""
-    for q in itertools.compress(range(lo, hi + 1), _prime_flags(hi)[lo:]):
-        power = q
-        while power <= PM1_B1:
-            yield q
-            power *= q
-
-
 @functools.cache
-def _stage1_chunks() -> tuple[tuple[int, int, int], ...]:
-    """The stage-1 exponent of p-1 cut into chunks of about PM1_CHUNK_BITS
-    bits: (chunk product, first prime, last prime), each prime of the chunk
-    with all its repeats.  Raising to a chunk costs its bit length."""
-    chunks = []
-    product, first, last = 1, 2, 2
-    for q in _stage1_primes(2, PM1_B1):
-        if q != last and product.bit_length() >= PM1_CHUNK_BITS:
-            chunks.append((product, first, last))
-            product, first = 1, q
-        product *= q
-        last = q
-    chunks.append((product, first, last))
-    return tuple(chunks)
+def _stage1_powers() -> tuple[int, ...]:
+    """The stage-1 exponent of p-1 as its prime powers: for each prime
+    q <= PM1_B1, the largest power of q that is <= PM1_B1."""
+    powers = []
+    for q in itertools.compress(range(PM1_B1 + 1), _prime_flags(PM1_B1)):
+        power = q
+        while power * q <= PM1_B1:
+            power *= q
+        powers.append(power)
+    return tuple(powers)
 
 
 # Multipliers v of the stage-2 giant steps v*D: every prime q in
@@ -338,9 +322,9 @@ _PM1_GIANT_COST = len(_PM1_BABIES) + 2
 
 @functools.cache
 def _pm1_fixed_cost() -> int:
-    """What `_pollard_pm1` spends on a number it cannot split, without a
-    replay after a gcd equal to n, apart from the e.bit_length() for e."""
-    stage1 = sum(chunk.bit_length() for chunk, _, _ in _stage1_chunks())
+    """What `_pollard_pm1` spends on a number it cannot split, apart from
+    the e.bit_length() for e."""
+    stage1 = sum(power.bit_length() for power in _stage1_powers())
     return stage1 + _PM1_STAGE2_SETUP + len(_PM1_GIANTS) * _PM1_GIANT_COST
 
 
@@ -355,12 +339,11 @@ def _pollard_pm1(n: int, e: int = 2) -> tuple[int | None, int]:
     PM1_BASE, with e multiplied into the exponent because every prime of n
     is 1 (mod e).
 
-    Stage 1 raises a = PM1_BASE to e and then to each chunk of the
-    PM1_B1-smooth exponent, with a gcd after every chunk.  A gcd equal to n
-    means all primes of n completed in that chunk; it is replayed one prime
-    at a time, so a number whose primes all have smooth q - 1 still splits.
-    Stage 2 catches one more prime of q - 1 up to PM1_B2 by baby steps and
-    giant steps over the wheel D = PM1_WHEEL.  With f(t) = b^t + b^-t,
+    Stage 1 raises a = PM1_BASE to e and then to each prime power of the
+    PM1_B1-smooth exponent in turn, with a gcd after every one.  A gcd equal
+    to n means every prime of n completed at the same prime power, and p-1
+    gives up.  Stage 2 catches one more prime of q - 1 up to PM1_B2 by baby
+    steps and giant steps over the wheel D = PM1_WHEEL.  With f(t) = b^t + b^-t,
     f(vD) - f(u) = b^-vD (b^vD - b^u)(b^vD - b^-u), so one product covers
     both vD - u and vD + u, and no prime list above PM1_B1 is built.  Every
     modular squaring or multiplication is charged one iteration, as
@@ -369,21 +352,12 @@ def _pollard_pm1(n: int, e: int = 2) -> tuple[int | None, int]:
     x = pow(PM1_BASE, e, n)
     used = e.bit_length()
     g = math.gcd(x - 1, n)
-    for chunk, first, last in _stage1_chunks():
+    for power in _stage1_powers():
         if g != 1:
             break
-        y = pow(x, chunk, n)
-        used += chunk.bit_length()
-        g = math.gcd(y - 1, n)
-        if g == n:
-            # Every prime of n completed inside this chunk: replay it.
-            for q in _stage1_primes(first, last):
-                x = pow(x, q, n)
-                used += q.bit_length()
-                g = math.gcd(x - 1, n)
-                if g != 1:
-                    break
-        x = y
+        x = pow(x, power, n)
+        used += power.bit_length()
+        g = math.gcd(x - 1, n)
     if g != 1:
         return (g if g < n else None), used
     # Stage 2 on b = x: baby values f(u), then f(vD) for each giant step.

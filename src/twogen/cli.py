@@ -16,7 +16,7 @@ import sys
 # imported by the command that runs it, so `twogen modulus` loads no more.
 from .arith import FactorizationTimeout, check_prime_bound
 from .counting import special_factorizations, surviving_exponents
-from .factor_cache import FactorCache
+from .factor_cache import FactorCache, format_factors
 from .modulus import dependence_check, modulus_of
 
 EXIT_OK = 0
@@ -49,15 +49,11 @@ def _emit_json_listing(payload: dict, key: str, items) -> None:
     write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
-def _factors_text(factors) -> str:
-    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
-
-
-def cmd_count(args, cache) -> int:
+def cmd_count(args, load_cache) -> int:
     if (args.genus is None) == (args.prime is None):
         raise ValueError("need exactly one of --genus or --prime/--power")
     if args.genus is not None:
-        pairs = special_factorizations(args.genus, cache)
+        pairs = special_factorizations(args.genus, load_cache())
         if args.json:
             payload = {"genus": args.genus, "count": len(pairs)}
             if args.witnesses:
@@ -84,7 +80,7 @@ def cmd_count(args, cache) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args, cache) -> int:
+def cmd_enumerate(args, load_cache) -> int:
     from .semigroup import count_by_genus, deepest_level
 
     if args.count_only:
@@ -118,7 +114,7 @@ def cmd_enumerate(args, cache) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args, cache) -> int:
+def cmd_reduce(args, load_cache) -> int:
     from .reduction import euclidean_trace, normalize_target, reduce, verify_reduction
 
     trace = euclidean_trace(args.alpha, args.beta)
@@ -167,8 +163,8 @@ def cmd_reduce(args, cache) -> int:
     return EXIT_OK
 
 
-def cmd_modulus(args, cache) -> int:
-    report = modulus_of(args.k, cache)
+def cmd_modulus(args, load_cache) -> int:
+    report = modulus_of(args.k, load_cache())
     if args.json:
         _emit_json(
             {
@@ -183,7 +179,7 @@ def cmd_modulus(args, cache) -> int:
     else:
         for i, m in report.per_i:
             print(f"  m_{args.k}({i}) = {m}")
-        factors = _factors_text(report.factors.factors)
+        factors = format_factors(report.factors.factors)
         tail = f" = {factors}" if factors else ""
         print(f"M({args.k}) = {report.modulus}{tail}")
         if not report.complete:
@@ -193,8 +189,8 @@ def cmd_modulus(args, cache) -> int:
     return EXIT_OK if report.complete else EXIT_BLOCKED
 
 
-def cmd_verify_dependence(args, cache) -> int:
-    report = dependence_check(args.k, args.prime_bound, cache)
+def cmd_verify_dependence(args, load_cache) -> int:
+    report = dependence_check(args.k, args.prime_bound, load_cache())
     if args.json:
         _emit_json(
             {
@@ -217,10 +213,10 @@ def cmd_verify_dependence(args, cache) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def cmd_derive(args, cache) -> int:
+def cmd_derive(args, load_cache) -> int:
     from .synthesis import minimal_modulus, render, synthesize
 
-    formula = synthesize(args.k, cache)
+    formula = synthesize(args.k, load_cache())
     if args.json:
         _emit_json(
             {
@@ -235,6 +231,7 @@ def cmd_derive(args, cache) -> int:
             }
         )
         return EXIT_OK
+    text = render(formula, args.style)  # before any output: render may refuse
     if args.rows:
         for row in formula.rows:
             lhs = f"gcd(p^{row.i}+1, 2p^{args.k - row.i}+1)"
@@ -244,15 +241,15 @@ def cmd_derive(args, cache) -> int:
                 rhs = f"gcd(p^{row.exponent} - {row.residue}, {row.modulus})"
             product = "*".join(str(x) for x in row.factors) if row.factors else "1"
             print(f"  i={row.i:>2}: {lhs} = {rhs}  -> {product}")
-    print(render(formula, args.style))
+    print(text)
     return EXIT_OK
 
 
-def cmd_verify(args, cache) -> int:
+def cmd_verify(args, load_cache) -> int:
     from .synthesis import synthesize, verify_formula
 
     check_prime_bound(args.prime_bound)  # before the derivation, which may block
-    formula = synthesize(args.k, cache)
+    formula = synthesize(args.k, load_cache())
     check = verify_formula(formula, args.prime_bound)
     if args.json:
         _emit_json(
@@ -275,10 +272,10 @@ def cmd_verify(args, cache) -> int:
     return EXIT_OK if check.ok else EXIT_MISMATCH
 
 
-def cmd_minimal_modulus(args, cache) -> int:
+def cmd_minimal_modulus(args, load_cache) -> int:
     from .synthesis import minimal_modulus, synthesize
 
-    formula = synthesize(args.k, cache)
+    formula = synthesize(args.k, load_cache())
     minimal = minimal_modulus(formula)
     if args.json:
         _emit_json(
@@ -296,10 +293,10 @@ def cmd_minimal_modulus(args, cache) -> int:
     return EXIT_OK
 
 
-def cmd_xreduce(args, cache) -> int:
+def cmd_xreduce(args, load_cache) -> int:
     from .indicators import reduce_power
 
-    factors = reduce_power(args.a, args.q, args.s, cache)
+    factors = reduce_power(args.a, args.q, args.s, load_cache())
     product = "*".join(str(x) for x in factors) if factors else "1"
     if args.json:
         _emit_json(
@@ -412,11 +409,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    loaded: list[FactorCache] = []
+
+    def load_cache() -> FactorCache:
+        # Read on first use, so a command that never factors never reads it.
+        if not loaded:
+            loaded.append(FactorCache.load(args.factor_cache))
+        return loaded[0]
+
     try:
-        cache = FactorCache.load(args.factor_cache)
-        code = args.func(args, cache)
-        if cache.dirty:
-            cache.save(args.factor_cache)
+        code = args.func(args, load_cache)
+        if loaded and loaded[0].dirty:
+            loaded[0].save(args.factor_cache)
         return code
     # The class of a layer error decides its code: a derivation blocked on a
     # row is a factoring timeout, a genus above the census cap a ValueError.

@@ -34,9 +34,9 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-def _format_entry(value: int, factors: tuple[tuple[int, int], ...]) -> str:
-    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in factors]
-    return f"{value} = {' * '.join(parts)}"
+def format_factors(factors: tuple[tuple[int, int], ...]) -> str:
+    """`p1^e1 * p2 * ...`, the right-hand side of a cache line."""
+    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
 
 
 class FactorCache:
@@ -109,7 +109,7 @@ class FactorCache:
     def save(self, path) -> None:
         """Write all entries sorted by value; atomic via temp file + rename."""
         path = Path(path)
-        lines = [_format_entry(n, self._entries[n]) for n in sorted(self._entries)]
+        lines = [f"{n} = {format_factors(self._entries[n])}" for n in sorted(self._entries)]
         text = "\n".join(lines) + ("\n" if lines else "")
         fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
         try:

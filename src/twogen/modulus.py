@@ -64,34 +64,41 @@ def row_modulus(k: int, i: int) -> int:
 
 def modulus_of(k: int, cache=None) -> ModulusReport:
     """Compute M(k) as the union of the prime supports of the m_k(i)."""
+    return _modulus(k, cache)[0]
+
+
+def _modulus(k: int, cache) -> tuple[ModulusReport, dict[int, FactorizationTimeout]]:
+    """`modulus_of`, with the timeout caught on each unfactored m_k(i)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     per_i = tuple((i, row_modulus(k, i)) for i in range(1, k + 1))
     primes: set[int] = set()
-    unfactored = []
+    timeouts: dict[int, FactorizationTimeout] = {}
     for _, m in per_i:
         if m == 1:
             continue
         try:
             fact = factorize(m, cache)
-        except FactorizationTimeout:
-            unfactored.append(m)
+        except FactorizationTimeout as exc:
+            timeouts.setdefault(m, exc)
             continue
         primes.update(p for p, _ in fact.factors)
     modulus = 1
     for p in sorted(primes):
         modulus *= p
     factors = Factorization(modulus, tuple((p, 1) for p in sorted(primes)))
-    return ModulusReport(k, per_i, modulus, factors, tuple(sorted(set(unfactored))))
+    report = ModulusReport(k, per_i, modulus, factors, tuple(sorted(timeouts)))
+    return report, timeouts
 
 
 def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     """Group odd primes p <= bound (p not dividing M(k)) by p mod M(k) and
-    confirm the direct count n(p^k,2) is constant within each group."""
+    confirm the direct count n(p^k,2) is constant within each group.  Raises
+    the FactorizationTimeout of the least unfactored m_k(i), if any."""
     check_prime_bound(prime_bound)
-    report = modulus_of(k, cache)
-    if not report.complete:
-        raise FactorizationTimeout(report.unfactored[0], report.unfactored[0])
+    report, timeouts = _modulus(k, cache)
+    if timeouts:
+        raise timeouts[report.unfactored[0]]
     m = report.modulus
     classes: dict[int, int] = {}
     violations = []

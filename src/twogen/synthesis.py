@@ -44,6 +44,15 @@ class SynthesisBlocked(FactorizationTimeout):
         self.modulus = modulus
 
 
+# The most cells `render(..., "case-table")` prints: k = 37, the largest
+# table at k <= 40, has 1,114,156; k = 41 has 8,912,944.
+CASE_TABLE_CELLS = 2_000_000
+
+
+class CaseTableTooLarge(ValueError):
+    """The case table has more than CASE_TABLE_CELLS cells."""
+
+
 class _ProductTermFields(NamedTuple):
     factors: tuple[Indicator, ...]
 
@@ -330,6 +339,20 @@ def _grouped(formula: CountingFormula):
     return remaining, groups
 
 
+def _case_table_cells(remaining, groups) -> int:
+    """The cells of the base table and of every adj table that the case
+    table of `_grouped`'s (remaining, groups) prints, without enumerating
+    them: per table, the product over its primes of their options in
+    `_signature_table`."""
+    tables = [remaining] if remaining else []
+    tables += [inner_terms for _, _, inner_terms in groups if inner_terms]
+    cells = 0
+    for table in tables:
+        model = _residue_model(term for term, _ in table)
+        cells += math.prod(len(units) + open_ for _, units, open_ in model.values())
+    return cells
+
+
 def _signature_table(constant: int, term_counts) -> tuple[list[int], list[tuple[tuple[str, ...], int]]]:
     """Value of constant + sum(term_counts) per residue-signature cell.
 
@@ -387,6 +410,12 @@ def _render_case_table(formula: CountingFormula) -> str:
     lhs = f"n(p^{formula.k},2)"
     if not formula.terms:
         return f"{lhs} = {formula.constant}"
+    size = _case_table_cells(remaining, groups)
+    if size > CASE_TABLE_CELLS:
+        raise CaseTableTooLarge(
+            f"the case table for k={formula.k} has {size} cells, more than"
+            f" {CASE_TABLE_CELLS}; use --style factored"
+        )
     names = [f"adj{j}" for j in range(1, len(groups) + 1)]
     header = f"{lhs} = base(p)"
     if names:

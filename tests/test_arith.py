@@ -23,7 +23,7 @@ from twogen.arith import (
     _pm1_cost,
     _pollard_pm1,
     _rho_batches,
-    _stage1_chunks,
+    _stage1_powers,
     divisors,
     factorize,
     is_prime,
@@ -351,18 +351,20 @@ def test_pm1_multiplies_e_into_the_exponent():
     assert _pollard_pm1(q * r, 2)[0] is None
 
 
-def test_pm1_replays_a_chunk_in_which_every_prime_completes():
-    chunks = _stage1_chunks()
-    index = 20
-    _, low, high = chunks[index]
-    q1, q2 = _prime_needing(low), _prime_needing(high)
-    before = 2 * math.prod(x for x, _, _ in chunks[:index])
-    after = before * chunks[index][0]
-    for q in (q1, q2):
+def test_pm1_returns_the_prime_that_completes_first():
+    powers = _stage1_powers()
+    index = powers.index(1009)
+    before = 2 * math.prod(powers[:index])
+    after = before * powers[index]
+    q1, q2, q3 = _prime_needing(1009), _prime_needing(1013), _prime_needing(1009, 4)
+    assert len({q1, q2, q3}) == 3
+    for q in (q1, q3):
         assert pow(3, before, q) != 1 and pow(3, after, q) == 1
-    # So the gcd after chunk 20 is n, and the replay one prime at a time
-    # stops at low, where q1 has completed and q2 has not.
+    assert pow(3, after, q2) != 1
+    # q1 completes at 1009 and q2 later, so the gcd after 1009 is q1.
     assert _pollard_pm1(q1 * q2)[0] == q1
+    # q1 and q3 complete together: the gcd is n, and p-1 gives up.
+    assert _pollard_pm1(q1 * q3)[0] is None
 
 
 def test_pm1_charges_its_whole_cost_when_it_fails():
@@ -401,8 +403,8 @@ def test_factorize_timeout_names_the_stage():
     assert info.value.stage == "p-1"
     assert info.value.cofactor == 2**128 + 1
     assert f"after {info.value.iterations} rho and p-1 iterations" in str(info.value)
-    chunk = max(x.bit_length() for x, _, _ in _stage1_chunks())
-    assert budget <= info.value.iterations <= budget + chunk
+    # The resumed rho stops within one batch of 128 steps of x^256 + c.
+    assert budget <= info.value.iterations <= budget + 128 * ((256).bit_length() - 1)
 
 
 def test_factorize_with_pm1_before_rho_matches_plain_oracle(monkeypatch):

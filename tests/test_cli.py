@@ -9,8 +9,9 @@ import pytest
 from jsonschema import validate
 
 from twogen import cli
+from twogen import modulus as modulus_mod
 from twogen import synthesis as synthesis_mod
-from twogen.arith import FactorizationTimeout
+from twogen.arith import FactorizationTimeout, factorize
 from twogen.semigroup import count_two_generator, enumerate_by_genus
 from twogen.synthesis import FormulaCheck, SynthesisBlocked
 
@@ -43,6 +44,29 @@ DERIVE_SCHEMA = {
 }
 
 
+def _exact(**properties):
+    """The schema of an object with exactly these keys."""
+    return {
+        "type": "object",
+        "required": sorted(properties),
+        "properties": properties,
+        "additionalProperties": False,
+    }
+
+
+INT = {"type": "integer"}
+INTS = {"type": "array", "items": INT}
+PAIRS = {"type": "array", "items": {**INTS, "minItems": 2, "maxItems": 2}}
+INDICATORS = {"type": "array", "items": _exact(a=INT, q=INT)}
+MODULUS_SCHEMA = _exact(
+    k=INT, per_i=PAIRS, M=INT, factors=PAIRS, complete={"type": "boolean"}, unfactored=INTS
+)
+REDUCE_FIELDS = {
+    "alpha": INT, "beta": INT, "trace": _exact(r=INTS, a=INTS, s=INTS, t=INTS),
+    "delta": INT, "sign": INT, "two_exp": INT, "modulus": INT, "residue": INT,
+}
+
+
 def run(capsys, tmp_path, *argv):
     code = cli.main([*argv, "--factor-cache", str(tmp_path / "factors.txt")])
     out = capsys.readouterr()
@@ -59,6 +83,7 @@ def test_modulus_json(capsys, tmp_path):
     code, out, _ = run(capsys, tmp_path, "modulus", "--k", "9", "--json")
     assert code == 0
     payload = json.loads(out)
+    validate(payload, MODULUS_SCHEMA)
     assert payload["M"] == 30998055
     assert payload["complete"] is True
     assert [1, 3] in payload["per_i"]
@@ -388,3 +413,117 @@ def test_cache_file_persisted(capsys, tmp_path):
     code = cli.main(["modulus", "--k", "7", "--factor-cache", str(path)])
     capsys.readouterr()
     assert path.read_text() == text
+
+
+# (argv, the schema of the payload with exactly its keys, some expected values)
+JSON_CASES = [
+    (("count", "--genus", "7"), _exact(genus=INT, count=INT), {"count": 2}),
+    (
+        ("count", "--genus", "7", "--witnesses"),
+        _exact(genus=INT, count=INT, witnesses=PAIRS),
+        {"witnesses": [[1, 14], [2, 7]]},
+    ),
+    (
+        ("count", "--prime", "7", "--power", "1"),
+        _exact(prime=INT, power=INT, count=INT),
+        {"count": 2},
+    ),
+    (
+        ("count", "--prime", "7", "--power", "1", "--witnesses"),
+        _exact(prime=INT, power=INT, count=INT, witnesses=INTS),
+        {"witnesses": [0, 1]},
+    ),
+    (("reduce", "--alpha", "5", "--beta", "4"), _exact(**REDUCE_FIELDS), {"residue": 2}),
+    (
+        ("reduce", "--alpha", "7", "--beta", "2", "--verify", "--prime-bound", "300"),
+        _exact(
+            **REDUCE_FIELDS,
+            verified_primes=INT,
+            counterexample={"anyOf": [{"type": "null"}, INTS]},
+        ),
+        {"verified_primes": 61, "counterexample": None},
+    ),
+    (
+        ("verify", "--k", "7", "--prime-bound", "500"),
+        _exact(k=INT, prime_bound=INT, primes_checked=INT, mismatches=INTS),
+        {"primes_checked": 94, "mismatches": []},
+    ),
+    (
+        ("verify-dependence", "--k", "4", "--prime-bound", "2000"),
+        _exact(
+            k=INT, modulus=INT, primes_checked=INT, classes=INT, values=INTS,
+            violations=INTS,
+        ),
+        {"modulus": 21, "values": [4, 5], "violations": []},
+    ),
+    (
+        ("xreduce", "--a", "8", "--q", "17", "--s", "2"),
+        _exact(a=INT, q=INT, s=INT, factors=INDICATORS),
+        {"factors": [{"a": 5, "q": 17}, {"a": 12, "q": 17}]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, schema, expected", JSON_CASES, ids=[" ".join(case[0]) for case in JSON_CASES]
+)
+def test_json_payloads(capsys, tmp_path, argv, schema, expected):
+    code, out, _ = run(capsys, tmp_path, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload, schema)
+    assert {key: payload[key] for key in expected} == expected
+
+
+def test_modulus_incomplete(capsys, tmp_path, monkeypatch):
+    def flaky(n, cache=None, **kwargs):
+        if n == 33:
+            raise FactorizationTimeout(n, 11, 12345, "p-1")
+        return factorize(n, cache, **kwargs)
+
+    monkeypatch.setattr(modulus_mod, "factorize", flaky)
+    code, out, err = run(capsys, tmp_path, "modulus", "--k", "9")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-3:] == [
+        "M(9) = 2818005 = 3 * 5 * 17 * 43 * 257",
+        "status: incomplete; M(9) is divisible by the above;",
+        "unfactored: 33",
+    ]
+    code, out, err = run(capsys, tmp_path, "modulus", "--k", "9", "--json")
+    assert (code, err) == (3, "")
+    payload = json.loads(out)
+    validate(payload, MODULUS_SCHEMA)
+    assert (payload["M"], payload["complete"], payload["unfactored"]) == (2818005, False, [33])
+
+
+def test_only_commands_that_factor_read_the_cache(capsys, tmp_path):
+    corrupt = tmp_path / "corrupt.txt"
+    corrupt.write_text("15 = 3 * 7\n")
+    for argv in (
+        ("enumerate", "--genus", "3", "--count-only"),
+        ("reduce", "--alpha", "5", "--beta", "3"),
+        ("count", "--prime", "7", "--power", "3"),
+    ):
+        expected = run(capsys, tmp_path, *argv)
+        assert expected[0] == 0
+        code = cli.main([*argv, "--factor-cache", str(corrupt)])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == expected, argv
+    for argv in (("modulus", "--k", "4"), ("derive", "--k", "4")):
+        code = cli.main([*argv, "--factor-cache", str(corrupt)])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, ""), argv
+        assert out.err == "error: line 1: factors multiply to 21, not 15\n"
+    assert corrupt.read_text() == "15 = 3 * 7\n"
+
+
+def test_derive_refuses_a_case_table_it_cannot_print(capsys, tmp_path):
+    for extra in ((), ("--rows",)):
+        code, out, err = run(
+            capsys, tmp_path, "derive", "--k", "41", "--style", "case-table", *extra
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the case table for k=41 has 8912944 cells, more than 2000000;"
+            " use --style factored\n"
+        )

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 import twogen.arith
 from twogen.arith import Factorization, FactorizationTimeout, factorize
 from twogen.factor_cache import FactorCache, ParseError
+from twogen.modulus import row_modulus
 
 
 def test_load_valid_file(tmp_path):
@@ -196,3 +199,20 @@ def test_seed_power_tables_keeps_going_past_a_timeout():
             if n >= 2:
                 assert (n in cache) == (n not in failed), n
     assert cache.get(2**64 - 1).value == 2**64 - 1
+
+
+def test_cli_workload_factorizations_are_unchanged(tmp_path):
+    # The 93 distinct row moduli m_k(i) > 1 of `modulus --k 4, 8, ..., 128`.
+    # The digest pins the cache file they give, so a change to the hunt
+    # (rho slice, p-1, rho) that alters any factorization shows here.
+    values = {row_modulus(k, i) for k in range(4, 129, 4) for i in range(1, k + 1)}
+    values.discard(1)
+    assert len(values) == 93
+    cache = FactorCache()
+    for n in sorted(values):
+        factorize(n, cache)
+    path = tmp_path / "factors.txt"
+    cache.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a84c8d50db030899b5215a4cd03b2fa5aa6af91fb894dfcd1795ab4a697a780e"
+    )

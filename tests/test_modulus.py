@@ -100,3 +100,24 @@ def test_dependence_k9():
     report = dependence_check(9, 2000)
     assert report.ok
     assert report.modulus == 30998055
+
+
+def test_dependence_check_raises_the_timeout_it_caught(monkeypatch):
+    real = factorize
+    raised = []
+
+    def flaky(n, cache=None, **kwargs):
+        if n == 33:
+            raised.append(FactorizationTimeout(n, 11, 12345, "p-1"))
+            raise raised[-1]
+        return real(n, cache, **kwargs)
+
+    monkeypatch.setattr(modulus_mod, "factorize", flaky)
+    with pytest.raises(FactorizationTimeout) as info:
+        dependence_check(9, 100)
+    # The timeout modulus_of caught, not a new one: 33 is factored once.
+    assert info.value is raised[0] and len(raised) == 1
+    timeout = info.value
+    assert (timeout.n, timeout.cofactor, timeout.iterations, timeout.stage) == (
+        33, 11, 12345, "p-1",
+    )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +14,14 @@ from twogen.factor_cache import FactorCache
 from twogen.indicators import Indicator
 from twogen.modulus import modulus_of
 from twogen.synthesis import (
+    CASE_TABLE_CELLS,
+    CaseTableTooLarge,
     CountingFormula,
     ProductTerm,
     SynthesisBlocked,
+    _case_table_cells,
     _evaluator,
+    _grouped,
     minimal_modulus,
     render,
     synthesize,
@@ -358,6 +363,27 @@ def test_render_case_table():
     assert sorted(set(adj_values)) == [3, 4, 5]
     assert "p = 2 (mod 3)" in text
     assert render(GOLDEN[2], "case-table") == "n(p^2,2) = 3"
+
+
+def test_case_table_cell_count_matches_the_printed_cells():
+    for k in range(1, 37):
+        formula = synthesize(k)
+        text = render(formula, "case-table")
+        printed = sum(1 for line in text.splitlines() if line.startswith("  ("))
+        assert _case_table_cells(*_grouped(formula)) == printed, k
+
+
+def test_case_table_refuses_a_table_it_cannot_print():
+    formula = synthesize(41)
+    start = time.perf_counter()
+    with pytest.raises(CaseTableTooLarge) as info:
+        render(formula, "case-table")
+    assert time.perf_counter() - start < 1
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == (
+        f"the case table for k=41 has 8912944 cells, more than {CASE_TABLE_CELLS};"
+        " use --style factored"
+    )
 
 
 def test_render_rejects_unknown_style():
