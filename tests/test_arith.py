@@ -377,7 +377,8 @@ def test_factorize_charges_pm1_against_the_budget():
     # Two safe primes: p-1 runs and fails, and then rho needs `needed`
     # squarings in all, more than the rho slice.
     n = 24398498963 * 39296689547
-    _, needed = _rho_brent(n, 10**7)
+    found, needed = _rho_brent(n, 10**7)
+    assert (found, needed) == (24398498963, 252_286)
     cost = _pm1_cost(2)
     assert needed > RHO_SLICE + 128
     assert factorize(n, max_iterations=needed + cost).factors == (

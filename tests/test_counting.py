@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from twogen.arith import odd_primes_up_to
 from twogen.counting import (
     NotOddPrime,
+    _resultant,
+    _surviving_exponents,
     count_prime_power,
     count_special,
     special_factorizations,
     surviving_exponents,
 )
+from twogen.modulus import row_modulus
 from twogen.semigroup import count_two_generator, enumerate_by_genus
 
 
@@ -70,3 +74,95 @@ def test_counts_match_census():
     levels = enumerate_by_genus(10)
     for g in range(1, 11):
         assert count_two_generator(levels[g]) == count_special(g)
+
+
+def _surviving_exponents_plain(p: int, k: int) -> list[int]:
+    """The former direct count, kept as an oracle: gcds of p^i + 1 and
+    2 p^(k-i) + 1 themselves, with no reduction."""
+    powers = [1]
+    for _ in range(k):
+        powers.append(powers[-1] * p)
+    return [
+        i
+        for i in range(k + 1)
+        if math.gcd(powers[i] + 1, 2 * powers[k - i] + 1) == 1
+    ]
+
+
+def _bareiss_det(matrix: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free elimination."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            for s in range(c + 1, n):
+                m[r][s] = (m[r][s] * m[c][c] - m[r][c] * m[c][s]) // prev
+        prev = m[c][c]
+    return sign * m[-1][-1]
+
+
+def _sylvester_resultant(f: list[int], g: list[int]) -> int:
+    """Res(f, g) for coefficient lists in decreasing degree, as the
+    determinant of the Sylvester matrix."""
+    df, dg = len(f) - 1, len(g) - 1
+    n = df + dg
+    rows = [[0] * r + f + [0] * (n - df - 1 - r) for r in range(dg)]
+    rows += [[0] * r + g + [0] * (n - dg - 1 - r) for r in range(df)]
+    return _bareiss_det(rows)
+
+
+def _row_polynomials(i: int, j: int) -> tuple[list[int], list[int]]:
+    """x^i + 1 and 2x^j + 1 as coefficient lists (x^0 + 1 is the constant 2)."""
+    f = [1] + [0] * (i - 1) + [1] if i else [2]
+    g = [2] + [0] * (j - 1) + [1] if j else [3]
+    return f, g
+
+
+def test_resultant_matches_the_sylvester_determinant():
+    for i in range(21):
+        for j in range(21):
+            if i + j == 0:
+                continue
+            res = _sylvester_resultant(*_row_polynomials(i, j))
+            assert abs(res) == _resultant(i, j), (i, j)
+
+
+def test_row_gcds_divide_the_resultant():
+    # The resultant lies in the ideal (x^i + 1, 2x^j + 1) of Z[x], so the
+    # gcd of the two values divides it at every integer p, prime or not.
+    for i in range(21):
+        for j in range(21):
+            if i + j == 0:
+                continue
+            r = _resultant(i, j)
+            for p in range(-49, 50):
+                assert r % math.gcd(p**i + 1, 2 * p**j + 1) == 0, (i, j, p)
+
+
+def test_resultant_is_a_power_of_the_row_modulus():
+    # Only the primes of M(k) can divide a row gcd of genus p^k.
+    for k in range(1, 129):
+        for i in range(1, k + 1):
+            assert _resultant(i, k - i) == row_modulus(k, i) ** math.gcd(i, k), (k, i)
+
+
+def test_surviving_exponents_match_the_plain_gcds():
+    primes = odd_primes_up_to(20_000)
+    for k in [*range(1, 13), 30, 60]:
+        for p in primes:
+            assert _surviving_exponents(p, k) == _surviving_exponents_plain(p, k), (p, k)
+
+
+def test_surviving_exponents_match_the_plain_gcds_at_700_bits():
+    rng = random.Random(20121)
+    for _ in range(5):
+        p = rng.getrandbits(700) | 1 << 699 | 1
+        assert _surviving_exponents(p, 120) == _surviving_exponents_plain(p, 120), p
+

@@ -46,14 +46,27 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(twogen, "_no_such_private")
 
 
-def test_import_twogen_loads_no_layer():
+def _twogen_modules_after_import(module):
+    """The twogen modules loaded by a fresh interpreter that imports `module`."""
     src = Path(twogen.__file__).resolve().parents[1]
     code = (
-        "import sys, twogen\n"
+        f"import sys, {module}\n"
         "print(sorted(m for m in sys.modules if m.startswith('twogen')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout == "['twogen']\n"
+    return proc.stdout
+
+
+def test_import_twogen_loads_no_layer():
+    assert _twogen_modules_after_import("twogen") == "['twogen']\n"
+
+
+def test_counting_imports_only_arith():
+    # The direct count is an oracle for the reduction: it must not load the
+    # layers it checks.
+    assert _twogen_modules_after_import("twogen.counting") == (
+        "['twogen', 'twogen.arith', 'twogen.counting']\n"
+    )
