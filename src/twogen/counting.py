@@ -7,20 +7,24 @@ i with gcd(p^i + 1, 2 p^(k-i) + 1) = 1.  Every synthesized formula in this
 package is tested against these.
 
 The genus-p^k count never takes a gcd of numbers the size of p^k.  With
-j = k - i, the resultant R of x^i + 1 and 2x^j + 1 is a nonzero integer (the
-roots of x^i + 1 lie on the unit circle, those of 2x^j + 1 do not), and it
-lies in the ideal the two polynomials generate in Z[x].  So for every
-integer p the row gcd divides R, and gcd(p^i + 1, 2 p^j + 1) is
-gcd(R, p^i + 1 mod R, 2 p^j + 1 mod R): the same number, taken on residues
-below R <= 3^k.  R has a closed form, so the count stays exact and uses
-nothing of the reduction it checks.  For i >= 1, R = m_k(i)^gcd(i, k) with
-m_k(i) the row modulus of M(k): only primes of M(k) can divide a row gcd.
+j = k - i and d = gcd(i, j), the resultant R of x^i + 1 and 2x^j + 1 is
+m^d with m = |1 - (-1)^(j/d) (-2)^(i/d)|, a nonzero integer (the roots of
+x^i + 1 lie on the unit circle, those of 2x^j + 1 do not), and R lies in
+the ideal the two polynomials generate in Z[x].  So for every integer p the
+row gcd divides R and has only primes of m: it is 1 exactly when
+gcd(m, p^i + 1, 2 p^j + 1) is, which is taken on the powers of p mod m.
+The row test thus reads only the class of p mod m, so a table of it over
+the m residues is exact for every p, and a sweep over at least m primes
+looks the row up instead.  m has a closed form, so the count stays exact
+and uses nothing of the reduction it checks.  For i >= 1, m = m_k(i), the
+row modulus of M(k): only primes of M(k) can divide a row gcd.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Sequence
 
 from .arith import divisors, factorize, is_prime
 
@@ -58,42 +62,69 @@ def surviving_exponents(p: int, k: int) -> list[int]:
     return _surviving_exponents(p, k)
 
 
-def _resultant(i: int, j: int) -> int:
-    """|Res(x^i + 1, 2x^j + 1)| = |1 - (-1)^(j/d) (-2)^(i/d)|^d, d = gcd(i, j),
-    for i + j >= 1: a multiple of gcd(p^i + 1, 2 p^j + 1) at every integer p."""
+def _root(i: int, j: int) -> int:
+    """m = |1 - (-1)^(j/d) (-2)^(i/d)| with d = gcd(i, j), for i + j >= 1:
+    the d-th root of |Res(x^i + 1, 2x^j + 1)|, so it has the primes of every
+    gcd(p^i + 1, 2 p^j + 1)."""
     d = math.gcd(i, j)
-    return abs(1 - (-1) ** (j // d) * (-2) ** (i // d)) ** d
+    return abs(1 - (-1) ** (j // d) * (-2) ** (i // d))
+
+
+def _resultant(i: int, j: int) -> int:
+    """|Res(x^i + 1, 2x^j + 1)| = _root(i, j)^gcd(i, j), for i + j >= 1: a
+    multiple of gcd(p^i + 1, 2 p^j + 1) at every integer p."""
+    return _root(i, j) ** math.gcd(i, j)
 
 
 @functools.lru_cache(maxsize=32)
-def _row_table(k: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """The rows (i, k - i, R) for 0 <= i <= k, R = _resultant(i, k - i), and
-    the lcm of their R."""
-    rows = tuple((i, k - i, _resultant(i, k - i)) for i in range(k + 1))
-    return math.lcm(*(r for _, _, r in rows)), rows
+def _row_table(k: int) -> tuple[tuple[int, int, int], ...]:
+    """The rows (i, k - i, m) for 0 <= i <= k, m = _root(i, k - i)."""
+    return tuple((i, k - i, _root(i, k - i)) for i in range(k + 1))
+
+
+def _row_survives(p: int, i: int, j: int, m: int) -> bool:
+    """Whether gcd(p^i + 1, 2 p^j + 1) = 1, taken as gcd(m, p^i + 1, 2 p^j + 1)
+    on powers of p mod m = _root(i, j), the second power only when needed."""
+    g = math.gcd(m, pow(p, i, m) + 1)
+    return g == 1 or math.gcd(g, 2 * pow(p, j, g) + 1) == 1
 
 
 def _surviving_exponents(p: int, k: int) -> list[int]:
-    """surviving_exponents without validation, for sweeps over sieved odd
-    primes that would otherwise pay a primality test per prime.
+    """surviving_exponents without validation: `_row_survives` on every row."""
+    return [i for i, j, m in _row_table(k) if _row_survives(p, i, j, m)]
 
-    Each row gcd divides its resultant R, so it is taken on the powers of p
-    modulo the lcm of the R (a multiple of every R), never on p^i itself.
+
+def _residue_table(m: int, rows) -> bytes:
+    """Entry r: how many of the rows (i, j, m) survive at every p = r mod m.
+    At most 2 d(k) of the rows of k share one m, d(k) the number of divisors
+    of k, so every entry fits a byte for k below 83,160."""
+    return bytes(
+        sum(_row_survives(r, i, j, m) for i, j, _ in rows) for r in range(m)
+    )
+
+
+def _survivor_counts(primes: Sequence[int], k: int) -> Iterator[int]:
+    """len(_surviving_exponents(p, k)) at each p of `primes`, in order.
+
+    Rows whose m is at most len(primes) are tested once per residue mod m,
+    rows that share m summed into one table; the other rows are tested at
+    each prime.
     """
-    lcm, rows = _row_table(k)
-    p %= lcm
-    powers = [1]
-    for _ in range(k):
-        powers.append(powers[-1] * p % lcm)
-    survivors = []
-    for i, j, r in rows:
-        g = math.gcd(r, powers[i] % r + 1)
-        if g == 1 or math.gcd(g, 2 * (powers[j] % g) + 1) == 1:
-            survivors.append(i)
-    return survivors
+    shared: dict[int, list[tuple[int, int, int]]] = {}
+    large = []
+    for row in _row_table(k):
+        if row[2] <= len(primes):
+            shared.setdefault(row[2], []).append(row)
+        else:
+            large.append(row)
+    tables = [(m, _residue_table(m, rows)) for m, rows in shared.items()]
+    for p in primes:
+        yield sum(table[p % m] for m, table in tables) + sum(
+            _row_survives(p, i, j, m) for i, j, m in large
+        )
 
 
 def count_prime_power(p: int, k: int) -> int:
     """n(p^k,2) for an odd prime p, by direct gcds reduced modulo each row's
-    resultant."""
+    root modulus."""
     return len(surviving_exponents(p, k))

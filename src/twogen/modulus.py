@@ -21,7 +21,7 @@ from .arith import (
     factorize,
     odd_primes_up_to,
 )
-from .counting import _surviving_exponents
+from .counting import _survivor_counts
 
 
 class ModulusReport(NamedTuple):
@@ -100,18 +100,16 @@ def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     if timeouts:
         raise timeouts[report.unfactored[0]]
     m = report.modulus
+    primes = [p for p in odd_primes_up_to(prime_bound) if m % p]
+    checked = len(primes)
     classes: dict[int, int] = {}
     violations = []
-    checked = 0
-    for p in odd_primes_up_to(prime_bound):
-        if m % p == 0:
-            continue
-        checked += 1
+    for p, value in zip(primes, _survivor_counts(primes, k)):
         residue = p % m
-        value = len(_surviving_exponents(p, k))
         expected = classes.setdefault(residue, value)
         if value != expected:
             violations.append((p, residue, value, expected))
+    del primes  # free the swept primes before the classes are sorted
     return DependenceReport(
         k, m, checked, tuple(sorted(classes.items())), tuple(violations)
     )

@@ -21,7 +21,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .arith import FactorizationTimeout, check_prime_bound, odd_primes_up_to
-from .counting import _surviving_exponents
+from .counting import _survivor_counts
 from .indicators import Indicator, _sort_key, reduce_power
 from .reduction import normalize_target, reduce
 
@@ -226,15 +226,13 @@ def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
     """Compare the formula with the direct count at every odd prime <= bound."""
     check_prime_bound(prime_bound)
     evaluate = _evaluator(formula)
+    primes = odd_primes_up_to(prime_bound)
     mismatches = []
-    checked = 0
-    for p in odd_primes_up_to(prime_bound):
-        checked += 1
+    for p, want in zip(primes, _survivor_counts(primes, formula.k)):
         got = evaluate(p)
-        want = len(_surviving_exponents(p, formula.k))
         if got != want:
             mismatches.append((p, got, want))
-    return FormulaCheck(formula.k, prime_bound, checked, tuple(mismatches))
+    return FormulaCheck(formula.k, prime_bound, len(primes), tuple(mismatches))
 
 
 def _residue_model(terms) -> dict[int, tuple[list[int], list[int], bool]]:

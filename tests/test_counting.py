@@ -9,13 +9,16 @@ from twogen.arith import odd_primes_up_to
 from twogen.counting import (
     NotOddPrime,
     _resultant,
+    _root,
+    _row_table,
+    _survivor_counts,
     _surviving_exponents,
     count_prime_power,
     count_special,
     special_factorizations,
     surviving_exponents,
 )
-from twogen.modulus import row_modulus
+from twogen.modulus import modulus_of, row_modulus
 from twogen.semigroup import count_two_generator, enumerate_by_genus
 
 
@@ -137,13 +140,17 @@ def test_resultant_matches_the_sylvester_determinant():
 def test_row_gcds_divide_the_resultant():
     # The resultant lies in the ideal (x^i + 1, 2x^j + 1) of Z[x], so the
     # gcd of the two values divides it at every integer p, prime or not.
+    # Its root has the same primes, so the row gcd is 1 exactly when its
+    # gcd with the root is.
     for i in range(21):
         for j in range(21):
             if i + j == 0:
                 continue
-            r = _resultant(i, j)
+            r, m = _resultant(i, j), _root(i, j)
             for p in range(-49, 50):
-                assert r % math.gcd(p**i + 1, 2 * p**j + 1) == 0, (i, j, p)
+                g = math.gcd(p**i + 1, 2 * p**j + 1)
+                assert r % g == 0, (i, j, p)
+                assert (g == 1) == (math.gcd(m, g) == 1), (i, j, p)
 
 
 def test_resultant_is_a_power_of_the_row_modulus():
@@ -153,11 +160,39 @@ def test_resultant_is_a_power_of_the_row_modulus():
             assert _resultant(i, k - i) == row_modulus(k, i) ** math.gcd(i, k), (k, i)
 
 
-def test_surviving_exponents_match_the_plain_gcds():
-    primes = odd_primes_up_to(20_000)
-    for k in [*range(1, 13), 30, 60]:
-        for p in primes:
-            assert _surviving_exponents(p, k) == _surviving_exponents_plain(p, k), (p, k)
+_PRIMES = odd_primes_up_to(20_000)
+
+
+def _dependence_primes(k: int) -> list[int]:
+    """The odd primes p <= 10^4 with p not dividing M(k), as
+    `dependence_check(k, 10**4)` sweeps them."""
+    modulus = modulus_of(k).modulus
+    return [p for p in odd_primes_up_to(10_000) if modulus % p]
+
+
+def test_the_table_boundary_cases_straddle_a_row_modulus():
+    # `_survivor_counts` tests the row of modulus 127 = 2^7 - 1 at each prime
+    # of a list of 126 primes, and tabulates it for a list of 127.
+    assert (7, 5, 127) in _row_table(12)
+
+
+@pytest.mark.parametrize(
+    "ks, primes_of",
+    [
+        pytest.param([*range(1, 13), 30, 60], lambda k: _PRIMES, id="sweep"),
+        pytest.param(range(1, 13), lambda k: _PRIMES[-1:], id="one prime"),
+        pytest.param(range(1, 13), lambda k: _PRIMES[-2:], id="two primes"),
+        pytest.param([12], lambda k: _PRIMES[-126:], id="below a table"),
+        pytest.param([12], lambda k: _PRIMES[-127:], id="at a table"),
+        pytest.param(range(2, 10), _dependence_primes, id="dependence"),
+    ],
+)
+def test_surviving_exponents_match_the_plain_gcds(ks, primes_of):
+    for k in ks:
+        primes = primes_of(k)
+        plain = [_surviving_exponents_plain(p, k) for p in primes]
+        assert [_surviving_exponents(p, k) for p in primes] == plain, k
+        assert list(_survivor_counts(primes, k)) == list(map(len, plain)), k
 
 
 def test_surviving_exponents_match_the_plain_gcds_at_700_bits():

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from twogen import modulus as modulus_mod
-from twogen.arith import FactorizationTimeout, factorize
-from twogen.modulus import dependence_check, modulus_of, row_modulus
+from twogen.arith import FactorizationTimeout, factorize, odd_primes_up_to
+from twogen.counting import _surviving_exponents
+from twogen.modulus import DependenceReport, dependence_check, modulus_of, row_modulus
 
 TABLE_1_TO_10 = [3, 3, 15, 21, 255, 465, 36465, 82677, 30998055, 16548735]
 
@@ -100,6 +101,31 @@ def test_dependence_k9():
     report = dependence_check(9, 2000)
     assert report.ok
     assert report.modulus == 30998055
+
+
+def _reference_dependence(k: int, prime_bound: int) -> DependenceReport:
+    """dependence_check as a loop over the per-prime direct count."""
+    m = modulus_of(k).modulus
+    classes: dict[int, int] = {}
+    violations = []
+    checked = 0
+    for p in odd_primes_up_to(prime_bound):
+        if m % p == 0:
+            continue
+        checked += 1
+        residue = p % m
+        value = len(_surviving_exponents(p, k))
+        expected = classes.setdefault(residue, value)
+        if value != expected:
+            violations.append((p, residue, value, expected))
+    return DependenceReport(
+        k, m, checked, tuple(sorted(classes.items())), tuple(violations)
+    )
+
+
+def test_dependence_check_reports_what_the_per_prime_count_reports():
+    for k in range(2, 10):
+        assert dependence_check(k, 10_000) == _reference_dependence(k, 10_000), k
 
 
 def test_dependence_check_raises_the_timeout_it_caught(monkeypatch):

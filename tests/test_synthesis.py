@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from twogen import arith
 from twogen import indicators as indicators_mod
-from twogen.arith import FactorizationTimeout
-from twogen.counting import count_prime_power
+from twogen.arith import FactorizationTimeout, odd_primes_up_to
+from twogen.counting import _surviving_exponents, count_prime_power
 from twogen.factor_cache import FactorCache
 from twogen.indicators import Indicator
 from twogen.modulus import modulus_of
@@ -17,6 +17,7 @@ from twogen.synthesis import (
     CASE_TABLE_CELLS,
     CaseTableTooLarge,
     CountingFormula,
+    FormulaCheck,
     ProductTerm,
     SynthesisBlocked,
     _case_table_cells,
@@ -100,6 +101,35 @@ def test_verify_formula_catches_corruption():
     check = verify_formula(broken, 100)
     assert not check.ok
     assert len(check.mismatches) == check.primes_checked
+
+
+def _reference_check(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
+    """verify_formula as a loop over the per-prime direct count."""
+    primes = odd_primes_up_to(prime_bound)
+    mismatches = []
+    for p in primes:
+        got, want = formula.evaluate(p), len(_surviving_exponents(p, formula.k))
+        if got != want:
+            mismatches.append((p, got, want))
+    return FormulaCheck(formula.k, prime_bound, len(primes), tuple(mismatches))
+
+
+def test_verify_formula_reports_what_the_per_prime_count_reports():
+    # Move the residue of the smallest q > 3 in one term of the k=30 formula.
+    formula = synthesize(30)
+    x, term = min(
+        ((x, t) for t in formula.terms for x in t.factors if x.q > 3),
+        key=lambda pair: pair[0].q,
+    )
+    moved = ProductTerm(
+        tuple(y for y in term.factors if y != x) + (Indicator(x.a + 1, x.q),)
+    )
+    terms = list(formula.terms)
+    terms.remove(term)
+    mutant = CountingFormula(30, formula.constant, (*terms, moved))
+    check = verify_formula(mutant, 20_000)
+    assert check.mismatches
+    assert check == _reference_check(mutant, 20_000)
 
 
 def test_synthesize_validates_k():
