@@ -29,6 +29,7 @@ _EXPORTS = {
         "NotOddPrime",
         "count_prime_power",
         "count_special",
+        "row_modulus",
         "special_factorizations",
         "surviving_exponents",
     ),
@@ -40,7 +41,7 @@ _EXPORTS = {
         "reduce_power",
         "strip_exponent",
     ),
-    "modulus": ("ModulusReport", "dependence_check", "modulus_of", "row_modulus"),
+    "modulus": ("ModulusReport", "dependence_check", "modulus_of"),
     "reduction": (
         "EuclideanTrace",
         "ReducedGcd",

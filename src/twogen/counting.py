@@ -7,17 +7,19 @@ i with gcd(p^i + 1, 2 p^(k-i) + 1) = 1.  Every synthesized formula in this
 package is tested against these.
 
 The genus-p^k count never takes a gcd of numbers the size of p^k.  With
-j = k - i and d = gcd(i, j), the resultant R of x^i + 1 and 2x^j + 1 is
-m^d with m = |1 - (-1)^(j/d) (-2)^(i/d)|, a nonzero integer (the roots of
-x^i + 1 lie on the unit circle, those of 2x^j + 1 do not), and R lies in
-the ideal the two polynomials generate in Z[x].  So for every integer p the
-row gcd divides R and has only primes of m: it is 1 exactly when
-gcd(m, p^i + 1, 2 p^j + 1) is, which is taken on the powers of p mod m.
-The row test thus reads only the class of p mod m, so a table of it over
-the m residues is exact for every p, and a sweep over at least m primes
-looks the row up instead.  m has a closed form, so the count stays exact
-and uses nothing of the reduction it checks.  For i >= 1, m = m_k(i), the
-row modulus of M(k): only primes of M(k) can divide a row gcd.
+j = k - i and d = gcd(i, j) = gcd(i, k), the resultant R of x^i + 1 and
+2x^j + 1 is m^d with m = 2^(i/d) - (-1)^(k/d), a nonzero integer (the
+roots of x^i + 1 lie on the unit circle, those of 2x^j + 1 do not), and R
+lies in the ideal the two polynomials generate in Z[x].  So for every
+integer p the row gcd divides R and has only primes of m: it is 1 exactly
+when gcd(m, p^i + 1, 2 p^j + 1) is, which is taken on the powers of p mod
+m.  The row test thus reads only the class of p mod m, so a table of it
+over the m residues is exact for every p, and a sweep over at least m
+primes looks the row up instead.  m = m_k(i) is `row_modulus`, the one
+definition of the row modulus: `modulus` reads it to assemble M(k), so only
+primes of M(k) can divide a row gcd with i >= 1.  Its closed form keeps the
+count exact without any of the reduction it checks, which derives the same
+constant on its own.
 """
 
 from __future__ import annotations
@@ -62,29 +64,24 @@ def surviving_exponents(p: int, k: int) -> list[int]:
     return _surviving_exponents(p, k)
 
 
-def _root(i: int, j: int) -> int:
-    """m = |1 - (-1)^(j/d) (-2)^(i/d)| with d = gcd(i, j), for i + j >= 1:
-    the d-th root of |Res(x^i + 1, 2x^j + 1)|, so it has the primes of every
-    gcd(p^i + 1, 2 p^j + 1)."""
-    d = math.gcd(i, j)
-    return abs(1 - (-1) ** (j // d) * (-2) ** (i // d))
-
-
-def _resultant(i: int, j: int) -> int:
-    """|Res(x^i + 1, 2x^j + 1)| = _root(i, j)^gcd(i, j), for i + j >= 1: a
-    multiple of gcd(p^i + 1, 2 p^j + 1) at every integer p."""
-    return _root(i, j) ** math.gcd(i, j)
+def row_modulus(k: int, i: int) -> int:
+    """m_k(i) = 2^(i/d) - (-1)^(k/d) with d = gcd(i, k), for 0 <= i <= k: the
+    root of the resultant, |Res(x^i + 1, 2x^(k-i) + 1)| = m_k(i)^d, so it
+    has the primes of every gcd(p^i + 1, 2 p^(k-i) + 1)."""
+    d = math.gcd(i, k)
+    return 2 ** (i // d) - (-1 if (k // d) % 2 else 1)
 
 
 @functools.lru_cache(maxsize=32)
 def _row_table(k: int) -> tuple[tuple[int, int, int], ...]:
-    """The rows (i, k - i, m) for 0 <= i <= k, m = _root(i, k - i)."""
-    return tuple((i, k - i, _root(i, k - i)) for i in range(k + 1))
+    """The rows (i, k - i, row_modulus(k, i)) for 0 <= i <= k."""
+    return tuple((i, k - i, row_modulus(k, i)) for i in range(k + 1))
 
 
 def _row_survives(p: int, i: int, j: int, m: int) -> bool:
     """Whether gcd(p^i + 1, 2 p^j + 1) = 1, taken as gcd(m, p^i + 1, 2 p^j + 1)
-    on powers of p mod m = _root(i, j), the second power only when needed."""
+    on powers of p mod m = row_modulus(i + j, i), the second power only when
+    needed."""
     g = math.gcd(m, pow(p, i, m) + 1)
     return g == 1 or math.gcd(g, 2 * pow(p, j, g) + 1) == 1
 

@@ -4,10 +4,11 @@ File format, one entry per line::
 
     <value> = <p1>[^e1] * <p2>[^e2] * ...
 
-The exponent is omitted when it is 1 and `#` starts a comment.  The format
-is meant to be hand-edited, so published factorizations (e.g. Cunningham
-tables for 2^m +- 1) can be pasted in when they are out of reach of the
-built-in factoring.  Every entry is re-verified on load -- product check
+The exponent is omitted when it is 1, the factors of 1 are the empty
+product (`1 = `), and `#` starts a comment.  The format is meant to be
+hand-edited, so published factorizations (e.g. Cunningham tables for
+2^m +- 1) can be pasted in when they are out of reach of the built-in
+factoring.  Every entry is re-verified on load -- product check
 plus a primality check of each listed prime -- so a corrupted file is
 rejected loudly instead of silently poisoning downstream results.  A prime
 listed in several entries is proven once per load.
@@ -88,7 +89,7 @@ class FactorCache:
             except ValueError:
                 raise ParseError(lineno, f"bad integer {head.strip()!r}") from None
             factors = []
-            for piece in tail.split("*"):
+            for piece in tail.split("*") if tail.strip() else ():
                 base, _, exp = piece.partition("^")
                 try:
                     p = int(base.strip())

@@ -1,17 +1,17 @@
 """The governing modulus M(k) and its per-exponent ingredients.
 
 Row i of the prime-power count (1 <= i <= k) is decided by the class of p
-modulo m_k(i) = 2^(i/gcd(i,k)) - (-1)^(k/gcd(i,k)).  The radical of the
-product of all m_k(i) is the modulus M(k): n(p^k,2) depends only on the
-class of p mod M(k).  The radical is assembled from the per-row
-factorizations (never by factoring the astronomically large product), and
-rows whose m_k(i) resists the factoring budget degrade the report to an
-explicit "incomplete" status rather than failing the whole computation.
+modulo m_k(i) = 2^(i/gcd(i,k)) - (-1)^(k/gcd(i,k)), `counting.row_modulus`.
+The radical of the product of all m_k(i) is the modulus M(k): n(p^k,2)
+depends only on the class of p mod M(k).  The radical is assembled from the
+factorizations of the distinct m_k(i) > 1, each factored once (never by
+factoring the astronomically large product), and a modulus that resists
+the factoring budget degrades the report to an explicit "incomplete" status
+rather than failing the whole computation.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .arith import (
@@ -21,7 +21,7 @@ from .arith import (
     factorize,
     odd_primes_up_to,
 )
-from .counting import _survivor_counts
+from .counting import _survivor_counts, row_modulus
 
 
 class ModulusReport(NamedTuple):
@@ -56,38 +56,31 @@ class DependenceReport(NamedTuple):
         return {value for _, value in self.classes}
 
 
-def row_modulus(k: int, i: int) -> int:
-    """m_k(i) = 2^(i/d) - (-1)^(k/d) with d = gcd(i, k)."""
-    d = math.gcd(i, k)
-    return 2 ** (i // d) - (-1 if (k // d) % 2 else 1)
-
-
 def modulus_of(k: int, cache=None) -> ModulusReport:
     """Compute M(k) as the union of the prime supports of the m_k(i)."""
     return _modulus(k, cache)[0]
 
 
 def _modulus(k: int, cache) -> tuple[ModulusReport, dict[int, FactorizationTimeout]]:
-    """`modulus_of`, with the timeout caught on each unfactored m_k(i)."""
+    """`modulus_of`, with the timeout caught on each unfactored m_k(i).  Each
+    distinct m_k(i) > 1 is factored once, in increasing order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     per_i = tuple((i, row_modulus(k, i)) for i in range(1, k + 1))
     primes: set[int] = set()
     timeouts: dict[int, FactorizationTimeout] = {}
-    for _, m in per_i:
-        if m == 1:
-            continue
+    for m in sorted({m for _, m in per_i} - {1}):
         try:
             fact = factorize(m, cache)
         except FactorizationTimeout as exc:
-            timeouts.setdefault(m, exc)
+            timeouts[m] = exc
             continue
         primes.update(p for p, _ in fact.factors)
     modulus = 1
     for p in sorted(primes):
         modulus *= p
     factors = Factorization(modulus, tuple((p, 1) for p in sorted(primes)))
-    report = ModulusReport(k, per_i, modulus, factors, tuple(sorted(timeouts)))
+    report = ModulusReport(k, per_i, modulus, factors, tuple(timeouts))
     return report, timeouts
 
 

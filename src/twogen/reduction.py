@@ -92,7 +92,8 @@ def reduce(alpha: int, beta: int) -> ReducedGcd:
     """Reduce gcd(p^alpha + 1, 2 p^beta + 1) to its p-independent target shape.
 
     The sign is (-1)**s[n] as produced by the trace; no pattern in it is
-    assumed anywhere.
+    assumed anywhere.  The modulus is computed here, not read from
+    `counting.row_modulus`: the direct count that checks it must not share it.
     """
     trace = euclidean_trace(alpha, beta)
     n = trace.n

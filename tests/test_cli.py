@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -527,3 +529,41 @@ def test_derive_refuses_a_case_table_it_cannot_print(capsys, tmp_path):
             "error: the case table for k=41 has 8912944 cells, more than 2000000;"
             " use --style factored\n"
         )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_examples() -> list[tuple[list[str], str]]:
+    """(arguments, comment) of each `twogen ...` line of README's CLI block."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "twogen", line
+        examples.append((argv, comment.strip()))
+    return examples
+
+
+def test_readme_cli_examples_run(capsys, tmp_path):
+    # The outputs README states next to its examples, and the formula its
+    # introduction quotes.
+    intro = re.search(r"^ *(n\(p\^9,2\) = .*)$", README.read_text(), re.M).group(1)
+    stated = [
+        "n(4,2) = 2",
+        "M(9) = 30998055 = 3 * 5 * 11 * 17 * 43 * 257",
+        "X(8,17)(n^2) = X(5,17)*X(12,17)",
+    ]
+    examples = _readme_cli_examples()
+    assert len(examples) == 11
+    assert [comment for _, comment in examples if comment in stated] == stated
+    stdout = []
+    for argv, comment in examples:
+        code, out, _ = run(capsys, tmp_path, *argv)
+        assert code == 0, argv
+        if comment in stated:
+            assert comment in out.splitlines(), argv
+        stdout.append(out)
+    assert intro in "".join(stdout).splitlines()

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from twogen.arith import odd_primes_up_to
 from twogen.counting import (
     NotOddPrime,
-    _resultant,
-    _root,
     _row_table,
     _survivor_counts,
     _surviving_exponents,
     count_prime_power,
     count_special,
+    row_modulus,
     special_factorizations,
     surviving_exponents,
 )
-from twogen.modulus import modulus_of, row_modulus
+from twogen.modulus import modulus_of
+from twogen.reduction import reduce
 from twogen.semigroup import count_two_generator, enumerate_by_genus
 
 
@@ -128,6 +128,11 @@ def _row_polynomials(i: int, j: int) -> tuple[list[int], list[int]]:
     return f, g
 
 
+def _resultant(i: int, j: int) -> int:
+    """|Res(x^i + 1, 2x^j + 1)| in closed form, the row modulus to the gcd(i, j)."""
+    return row_modulus(i + j, i) ** math.gcd(i, j)
+
+
 def test_resultant_matches_the_sylvester_determinant():
     for i in range(21):
         for j in range(21):
@@ -140,24 +145,25 @@ def test_resultant_matches_the_sylvester_determinant():
 def test_row_gcds_divide_the_resultant():
     # The resultant lies in the ideal (x^i + 1, 2x^j + 1) of Z[x], so the
     # gcd of the two values divides it at every integer p, prime or not.
-    # Its root has the same primes, so the row gcd is 1 exactly when its
-    # gcd with the root is.
+    # Its root, the row modulus, has the same primes, so the row gcd is 1
+    # exactly when its gcd with the row modulus is.
     for i in range(21):
         for j in range(21):
             if i + j == 0:
                 continue
-            r, m = _resultant(i, j), _root(i, j)
+            r, m = _resultant(i, j), row_modulus(i + j, i)
             for p in range(-49, 50):
                 g = math.gcd(p**i + 1, 2 * p**j + 1)
                 assert r % g == 0, (i, j, p)
                 assert (g == 1) == (math.gcd(m, g) == 1), (i, j, p)
 
 
-def test_resultant_is_a_power_of_the_row_modulus():
-    # Only the primes of M(k) can divide a row gcd of genus p^k.
-    for k in range(1, 129):
-        for i in range(1, k + 1):
-            assert _resultant(i, k - i) == row_modulus(k, i) ** math.gcd(i, k), (k, i)
+def test_reduction_modulus_is_the_row_modulus():
+    # The reduction derives its constant c on its own; the direct count
+    # reads the closed form.  They must be the same number.
+    for k in range(2, 129):
+        for i in range(1, k):
+            assert reduce(i, k - i).modulus == row_modulus(k, i), (k, i)
 
 
 _PRIMES = odd_primes_up_to(20_000)

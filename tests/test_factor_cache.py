@@ -44,6 +44,7 @@ def test_load_empty_and_missing(tmp_path):
         ("just junk", "expected"),
         ("x = 2", "bad integer"),
         ("8 = 2^x", "bad factor"),
+        ("12 = ", "multiply to 1, not 12"),
     ],
 )
 def test_load_rejects_bad_lines(tmp_path, line, fragment):
@@ -134,6 +135,18 @@ def test_round_trip(tmp_path_factory, values):
     assert loaded.values() == cache.values()
     for n in values:
         assert loaded.get(n) == cache.get(n)
+
+
+def test_round_trip_of_one_and_its_empty_product(tmp_path):
+    path = tmp_path / "factors.txt"
+    cache = FactorCache()
+    factorize(1, cache=cache)
+    factorize(12, cache=cache)
+    cache.save(path)
+    assert path.read_text() == "1 = \n12 = 2^2 * 3\n"
+    loaded = FactorCache.load(path)
+    assert loaded.get(1) == Factorization(1, ())
+    assert loaded.get(12) == Factorization(12, ((2, 2), (3, 1)))
 
 
 def test_put_validates():

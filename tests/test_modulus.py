@@ -147,3 +147,39 @@ def test_dependence_check_raises_the_timeout_it_caught(monkeypatch):
     assert (timeout.n, timeout.cofactor, timeout.iterations, timeout.stage) == (
         33, 11, 12345, "p-1",
     )
+
+
+def test_each_distinct_row_modulus_is_factored_once(monkeypatch):
+    real = factorize
+    calls = []
+
+    def counted(n, cache=None, **kwargs):
+        calls.append(n)
+        return real(n, cache, **kwargs)
+
+    monkeypatch.setattr(modulus_mod, "factorize", counted)
+    report = modulus_of(60)
+    distinct = {m for _, m in report.per_i} - {1}
+    assert len(calls) == len(distinct) == 27
+    assert calls == sorted(distinct)
+
+
+def test_a_modulus_shared_by_rows_is_hunted_once(monkeypatch):
+    # 127 = 2^7 - 1 is the modulus of rows 7, 14, 21, 35 and 42 of k = 60.
+    assert [i for i, m in modulus_of(60).per_i if m == 127] == [7, 14, 21, 35, 42]
+    real = factorize
+    raised = []
+
+    def flaky(n, cache=None, **kwargs):
+        if n == 127:
+            raised.append(FactorizationTimeout(n, n))
+            raise raised[-1]
+        return real(n, cache, **kwargs)
+
+    monkeypatch.setattr(modulus_mod, "factorize", flaky)
+    report = modulus_of(60)
+    assert len(raised) == 1
+    assert report.unfactored == (127,)
+    with pytest.raises(FactorizationTimeout) as info:
+        dependence_check(60, 100)
+    assert len(raised) == 2 and info.value is raised[1]
