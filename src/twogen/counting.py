@@ -20,6 +20,13 @@ definition of the row modulus: `modulus` reads it to assemble M(k), so only
 primes of M(k) can divide a row gcd with i >= 1.  Its closed form keeps the
 count exact without any of the reduction it checks, which derives the same
 constant on its own.
+
+The rows whose m is above the number of primes swept share one screen.
+Since 2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
+2 p^k - 1; with L the lcm of those m, a prime with gcd(L, 2 p^k - 1) = 1
+keeps all of them at once.  At any other prime each row gcd divides both
+its m and g = gcd(L, 2 p^k - 1), so the row test with gcd(m, g) in place
+of m still sees every prime of the row gcd and stays exact.
 """
 
 from __future__ import annotations
@@ -104,8 +111,12 @@ def _survivor_counts(primes: Sequence[int], k: int) -> Iterator[int]:
     """len(_surviving_exponents(p, k)) at each p of `primes`, in order.
 
     Rows whose m is at most len(primes) are tested once per residue mod m,
-    rows that share m summed into one table; the other rows are tested at
-    each prime.
+    rows that share m summed into one table.  The other, large rows are
+    screened together: every row gcd divides 2 p^k - 1 and its row's m, so
+    it divides g = gcd(L, 2 p^k - 1), L the lcm of the large m.  At g = 1
+    every large row survives; otherwise each is tested at p with
+    gcd(m, g) in place of m, which still has every prime of the row gcd.
+    Without large rows the loop only reads the tables.
     """
     shared: dict[int, list[tuple[int, int, int]]] = {}
     large = []
@@ -115,10 +126,15 @@ def _survivor_counts(primes: Sequence[int], k: int) -> Iterator[int]:
         else:
             large.append(row)
     tables = [(m, _residue_table(m, rows)) for m, rows in shared.items()]
+    lcm = math.lcm(*(m for _, _, m in large))
     for p in primes:
-        yield sum(table[p % m] for m, table in tables) + sum(
-            _row_survives(p, i, j, m) for i, j, m in large
-        )
+        count = sum(table[p % m] for m, table in tables)
+        if large:
+            g = math.gcd(lcm, 2 * pow(p, k, lcm) - 1)
+            count += len(large) if g == 1 else sum(
+                _row_survives(p, i, j, math.gcd(m, g)) for i, j, m in large
+            )
+        yield count
 
 
 def count_prime_power(p: int, k: int) -> int:

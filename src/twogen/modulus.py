@@ -87,13 +87,18 @@ def _modulus(k: int, cache) -> tuple[ModulusReport, dict[int, FactorizationTimeo
 def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     """Group odd primes p <= bound (p not dividing M(k)) by p mod M(k) and
     confirm the direct count n(p^k,2) is constant within each group.  Raises
-    the FactorizationTimeout of the least unfactored m_k(i), if any."""
+    the FactorizationTimeout of the least unfactored m_k(i), if any, and
+    ValueError when every odd prime <= bound divides M(k)."""
     check_prime_bound(prime_bound)
     report, timeouts = _modulus(k, cache)
     if timeouts:
         raise timeouts[report.unfactored[0]]
     m = report.modulus
     primes = [p for p in odd_primes_up_to(prime_bound) if m % p]
+    if not primes:
+        raise ValueError(
+            f"no odd prime <= {prime_bound} is prime to M({k}) = {m}"
+        )
     checked = len(primes)
     classes: dict[int, int] = {}
     violations = []

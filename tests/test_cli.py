@@ -271,6 +271,14 @@ def test_verify_checks_the_bound_before_deriving(capsys, tmp_path, monkeypatch):
     assert err == "error: prime_bound must be >= 3, got 2\n"
 
 
+def test_verify_dependence_needs_a_prime_to_the_modulus(capsys, tmp_path):
+    code, out, err = run(
+        capsys, tmp_path, "verify-dependence", "--k", "3", "--prime-bound", "5"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: no odd prime <= 5 is prime to M(3) = 15\n"
+
+
 def test_verify_dependence(capsys, tmp_path):
     code, out, _ = run(
         capsys, tmp_path, "verify-dependence", "--k", "4", "--prime-bound", "2000"

@@ -155,6 +155,8 @@ def test_row_gcds_divide_the_resultant():
             for p in range(-49, 50):
                 g = math.gcd(p**i + 1, 2 * p**j + 1)
                 assert r % g == 0, (i, j, p)
+                # the screen of `_survivor_counts`: 2p^j(p^i + 1) - (2p^j + 1)
+                assert (2 * p ** (i + j) - 1) % g == 0, (i, j, p)
                 assert (g == 1) == (math.gcd(m, g) == 1), (i, j, p)
 
 
@@ -182,10 +184,25 @@ def test_the_table_boundary_cases_straddle_a_row_modulus():
     assert (7, 5, 127) in _row_table(12)
 
 
+def _screen_hits(k: int) -> list[int]:
+    """The primes p of `_PRIMES` with gcd(L, 2 p^k - 1) != 1, L the lcm of
+    the row moduli above len(_PRIMES): the primes at which `_survivor_counts`
+    tests its large rows one by one.  A shorter list has more large rows, so
+    these primes stay in the fallback when swept on their own."""
+    moduli = (row_modulus(k, i) for i in range(k + 1))
+    lcm = math.lcm(*(m for m in moduli if m > len(_PRIMES)))
+    hits = [p for p in _PRIMES if math.gcd(lcm, 2 * pow(p, k, lcm) - 1) != 1]
+    assert hits
+    return hits
+
+
 @pytest.mark.parametrize(
     "ks, primes_of",
     [
         pytest.param([*range(1, 13), 30, 60], lambda k: _PRIMES, id="sweep"),
+        pytest.param([60], _screen_hits, id="screen hits"),
+        pytest.param([60], lambda k: [127, 8191, 131071], id="row-modulus primes"),
+        pytest.param([90, 120, 128], lambda k: _PRIMES[-300:], id="large k"),
         pytest.param(range(1, 13), lambda k: _PRIMES[-1:], id="one prime"),
         pytest.param(range(1, 13), lambda k: _PRIMES[-2:], id="two primes"),
         pytest.param([12], lambda k: _PRIMES[-126:], id="below a table"),

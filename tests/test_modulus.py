@@ -85,7 +85,10 @@ def test_dependence_small_k():
 def test_dependence_needs_an_odd_prime():
     with pytest.raises(ValueError, match=r"^prime_bound must be >= 3, got 1$"):
         dependence_check(1, 1)
-    assert dependence_check(1, 3).ok
+    # 3 divides M(1) = 3, so a bound of 3 leaves no prime to compare
+    with pytest.raises(ValueError, match=r"^no odd prime <= 3 is prime to M\(1\) = 3$"):
+        dependence_check(1, 3)
+    assert dependence_check(1, 5).ok
 
 
 def test_dependence_k4_values():

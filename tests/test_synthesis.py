@@ -90,6 +90,13 @@ def test_verify_formula():
         assert check.ok and check.primes_checked == 94
 
 
+def test_verify_large_formulas():
+    # The largest derived formulas against the direct count, whose large
+    # rows `_survivor_counts` screens with one gcd per prime.
+    for k in (90, 120, 128):
+        assert verify_formula(synthesize(k), 20_000).ok, k
+
+
 def test_verify_formula_needs_an_odd_prime():
     with pytest.raises(ValueError, match=r"^prime_bound must be >= 3, got 2$"):
         verify_formula(GOLDEN[3], 2)
