@@ -81,7 +81,9 @@ def cmd_count(args, load_cache) -> int:
 
 
 def cmd_enumerate(args, load_cache) -> int:
-    from .semigroup import count_by_genus, deepest_level
+    from itertools import compress, count
+
+    from .semigroup import bit_flags, count_by_genus, deepest_level
 
     if args.count_only:
         deepest = None
@@ -97,8 +99,13 @@ def cmd_enumerate(args, load_cache) -> int:
         if deepest is None:
             _emit_json(payload)
         else:
+            # From the masks: reading n.gaps would decode and keep a tuple per node.
             nodes = (
-                {"gaps": list(n.gaps), "generators": list(n.generators)} for n in deepest
+                {
+                    "gaps": list(compress(count(), bit_flags(n.gap_mask))),
+                    "generators": list(compress(count(), bit_flags(n.generator_mask))),
+                }
+                for n in deepest
             )
             _emit_json_listing(payload, "semigroups", nodes)
         return EXIT_OK
@@ -107,9 +114,11 @@ def cmd_enumerate(args, load_cache) -> int:
         print(f"{row['genus']:>5}  {row['total']:>5}  {row['two_generator']:>13}")
     if deepest is not None:
         print(f"semigroups of genus {args.genus}:")
+        # Generators of genus g are at most 2g + 1, gaps below them.
+        names = [str(s) for s in range(2 * args.genus + 2)]
         for node in deepest:
-            gaps = ",".join(map(str, node.gaps))
-            gens = ",".join(map(str, node.generators))
+            gaps = ",".join(compress(names, bit_flags(node.gap_mask)))
+            gens = ",".join(compress(names, bit_flags(node.generator_mask)))
             print(f"  gaps=[{gaps}] generators=[{gens}]")
     return EXIT_OK
 

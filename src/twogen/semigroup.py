@@ -8,15 +8,16 @@ numerical semigroups up to a genus bound.  The census is one depth-first
 walk of the standard tree, whose children remove one minimal generator
 beyond the Frobenius number; each child's gaps and minimal generators
 follow from its parent's (Fromentin & Hivert, *Exploring the tree of
-numerical semigroups*, 2016).  The census is the independent oracle the
-rest of the package is validated against.
+numerical semigroups*, 2016).  As there, the walk runs on bit vectors: each
+node is a generator mask and a gap mask, two ints.  The census is the
+independent oracle the rest of the package is validated against.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Iterator
+from itertools import compress, count
 from typing import NamedTuple
 
 GENUS_CAP = 25
@@ -51,17 +52,55 @@ class TwoGeneratorSemigroup(_TwoGeneratorFields):
 
 
 class SemigroupNode:
-    """One census entry: minimal generators, gap set, genus."""
+    """One census entry: minimal generators, gap set, genus.
 
-    __slots__ = ("generators", "gaps", "genus")
+    A node holds its generators and gaps as two bitmasks (bit s set iff s
+    is a minimal generator, resp. a gap) and decodes each into an
+    increasing tuple on first read, keeping that tuple.
+    """
+
+    __slots__ = ("_generator_mask", "_gap_mask", "genus", "_generators", "_gaps")
 
     def __init__(self, generators: tuple[int, ...], gaps: tuple[int, ...], genus: int):
-        _set_generators(self, generators)
-        _set_gaps(self, gaps)
+        if genus != len(gaps):
+            raise ValueError(f"genus must equal len(gaps) = {len(gaps)}, got {genus!r}")
+        # Every minimal generator and gap of a genus-g semigroup is <= 2g + 1;
+        # the bound also keeps the masks small.
+        largest = 2 * len(gaps) + 1
+        _set_generator_mask(self, _mask_of(generators, "generators", largest))
+        _set_gap_mask(self, _mask_of(gaps, "gaps", largest))
         _set_genus(self, genus)
 
+    @property
+    def generators(self) -> tuple[int, ...]:
+        try:
+            return self._generators
+        except AttributeError:
+            generators = _members(self._generator_mask)
+            _set_generators(self, generators)
+            return generators
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        try:
+            return self._gaps
+        except AttributeError:
+            gaps = _members(self._gap_mask)
+            _set_gaps(self, gaps)
+            return gaps
+
+    @property
+    def generator_mask(self) -> int:
+        """The generators as a bitmask: bit s is set iff s is one of them."""
+        return self._generator_mask
+
+    @property
+    def gap_mask(self) -> int:
+        """The gaps as a bitmask: bit s is set iff s is a gap."""
+        return self._gap_mask
+
     def _key(self) -> tuple:
-        return (self.generators, self.gaps, self.genus)
+        return (self._generator_mask, self._gap_mask, self.genus)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -84,14 +123,54 @@ class SemigroupNode:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return SemigroupNode, self._key()
+        return SemigroupNode, (self.generators, self.gaps, self.genus)
 
 
 # The slots' own setters: a census builds 10^5 and more nodes, and these
 # skip the refusing __setattr__ without an object.__setattr__ call per field.
-_set_generators = SemigroupNode.generators.__set__
-_set_gaps = SemigroupNode.gaps.__set__
+_set_generator_mask = SemigroupNode._generator_mask.__set__
+_set_gap_mask = SemigroupNode._gap_mask.__set__
 _set_genus = SemigroupNode.genus.__set__
+_set_generators = SemigroupNode._generators.__set__
+_set_gaps = SemigroupNode._gaps.__set__
+_new_node = object.__new__
+
+
+def _node(gens: int, holes: int, genus: int) -> SemigroupNode:
+    """A node from masks the census walk built, so unchecked."""
+    node = _new_node(SemigroupNode)
+    _set_generator_mask(node, gens)
+    _set_gap_mask(node, holes)
+    _set_genus(node, genus)
+    return node
+
+
+_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(mask: int) -> bytes:
+    """One byte per bit of a non-negative mask, lowest bit first: byte s is
+    1 iff bit s is set.  `itertools.compress(labels, bit_flags(mask))` picks
+    the labels of the set bits without a Python-level loop."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(compress(count(), bit_flags(mask)))
+
+
+def _mask_of(values, field: str, largest: int) -> int:
+    """The bitmask of a strictly increasing tuple of ints in 1..largest."""
+    mask = 0
+    previous = 0
+    for value in values:
+        if not isinstance(value, int) or not previous < value <= largest:
+            raise ValueError(
+                f"{field} must be strictly increasing ints in 1..{largest}, got {values!r}"
+            )
+        mask |= 1 << value
+        previous = value
+    return mask
 
 
 def sylvester_genus(s: TwoGeneratorSemigroup) -> int:
@@ -116,42 +195,48 @@ def _check_genus(max_genus: int) -> None:
         raise BudgetExceeded(f"genus {max_genus} exceeds the enumeration cap {GENUS_CAP}")
 
 
-def _walk(max_genus: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+def _walk(max_genus: int) -> Iterator[tuple[int, int, int]]:
     """Preorder walk of the semigroup tree down to max_genus, yielding
-    (genus, minimal generators, gaps) with both tuples increasing.
+    (genus, generator mask, gap mask); bit s of a mask is set iff s is a
+    minimal generator, resp. a gap.
 
     The child S' = S minus m, for a minimal generator m above the Frobenius
     number F of S, has the gaps of S plus m.  If m is the multiplicity mu,
     S was ordinary and the generators of S' are m+1..2m+1.  Otherwise they
     are those of S without m, plus m + mu if it is irreducible in S': every
     generator of S lies in [mu, F + mu], and each x > m + mu is mu plus an
-    element of S', so m + mu is the only candidate.  Children are visited in
-    increasing m, so each genus comes out sorted by gap tuple, the path of
-    the node in the tree.
+    element of S', so m + mu is the only candidate.  It is irreducible iff
+    no s in 1..m+mu-1 has both s and m + mu - s in S', one bitset test
+    against the gap mask reflected at width W, whose bit W - h is set iff
+    h is a gap.  Children are visited in increasing m, so each genus comes
+    out sorted by gap tuple, the path of the node in the tree.
     """
-    stack = [((1,), (), 0, -1)]  # (generators, gaps, gap bitmap, frobenius)
+    # Gaps are below 2g and m + mu <= 3g + 2 for a parent of genus g < max_genus.
+    width = 4 * max_genus + 4
+    # (generators, gaps, reflected gaps, frobenius + 1, genus, multiplicity)
+    stack = [(0b10, 0, 0, 0, 0, 1)]
     while stack:
-        gens, gaps, holes, frobenius = stack.pop()
-        genus = len(gaps)
-        yield genus, gens, gaps
+        gens, holes, mirror, above, genus, mu = stack.pop()
+        yield genus, gens, holes
         if genus == max_genus:
             continue
-        mu = gens[0]
+        genus += 1
         # Push in decreasing m so that the smallest m is popped first.
-        for i in range(len(gens) - 1, bisect.bisect_right(gens, frobenius) - 1, -1):
-            m = gens[i]
-            child_holes = holes | 1 << m
+        m = gens.bit_length() - 1
+        while m >= above:
+            bit = 1 << m
+            child_holes = holes | bit
+            child_mirror = mirror | 1 << (width - m)
             if m == mu:
-                child_gens = tuple(range(m + 1, 2 * m + 2))
+                ordinary = ((bit << 1) - 1) << (m + 1)  # m+1..2m+1
+                stack.append((ordinary, child_holes, child_mirror, m + 1, genus, m + 1))
             else:
-                child_gens = gens[:i] + gens[i + 1 :]
+                child_gens = gens ^ bit
                 new = m + mu
-                for g in child_gens:
-                    if not child_holes >> (new - g) & 1:
-                        break  # new = g + (new - g) inside S'
-                else:
-                    child_gens += (new,)
-            stack.append((child_gens, gaps + (m,), child_holes, m))
+                if not ((1 << new) - 2) & ~(child_holes | child_mirror >> (width - new)):
+                    child_gens |= 1 << new
+                stack.append((child_gens, child_holes, child_mirror, m + 1, genus, mu))
+            m = (gens & (bit - 1)).bit_length() - 1
 
 
 def enumerate_by_genus(max_genus: int) -> list[list[SemigroupNode]]:
@@ -163,8 +248,8 @@ def enumerate_by_genus(max_genus: int) -> list[list[SemigroupNode]]:
     """
     _check_genus(max_genus)
     levels: list[list[SemigroupNode]] = [[] for _ in range(max_genus + 1)]
-    for genus, gens, gaps in _walk(max_genus):
-        levels[genus].append(SemigroupNode(gens, gaps, genus))
+    for genus, gens, holes in _walk(max_genus):
+        levels[genus].append(_node(gens, holes, genus))
     return levels
 
 
@@ -176,12 +261,12 @@ def _census(
     totals = [0] * (max_genus + 1)
     pairs = [0] * (max_genus + 1)
     deepest: list[SemigroupNode] = []
-    for genus, gens, gaps in _walk(max_genus):
+    for genus, gens, holes in _walk(max_genus):
         totals[genus] += 1
-        if len(gens) == 2:
+        if gens.bit_count() == 2:
             pairs[genus] += 1
         if keep_deepest and genus == max_genus:
-            deepest.append(SemigroupNode(gens, gaps, genus))
+            deepest.append(_node(gens, holes, genus))
     return list(zip(totals, pairs)), deepest
 
 
@@ -206,4 +291,4 @@ def deepest_level(
 
 def count_two_generator(nodes: list[SemigroupNode]) -> int:
     """How many census entries have a minimal generating set of size exactly 2."""
-    return sum(1 for node in nodes if len(node.generators) == 2)
+    return sum(1 for node in nodes if node._generator_mask.bit_count() == 2)

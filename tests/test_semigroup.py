@@ -1,3 +1,4 @@
+import bisect
 import math
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from twogen.semigroup import (
     NotCoprime,
     SemigroupNode,
     TwoGeneratorSemigroup,
+    _walk,
     count_by_genus,
     count_two_generator,
     deepest_level,
@@ -226,3 +228,52 @@ def test_deepest_level_matches_full_levels(census_20):
     expected = [(len(nodes), count_two_generator(nodes)) for nodes in census_20]
     for g in range(21):
         assert deepest_level(g) == (expected[: g + 1], census_20[g]), g
+
+
+def _walk_tuples(max_genus):
+    """The census walk on tuples: the same preorder, with each child's gaps
+    and generators built from its parent's tuples, and m + mu tested for
+    irreducibility against every other generator."""
+    stack = [((1,), (), 0, -1)]  # (generators, gaps, gap bitmap, frobenius)
+    while stack:
+        gens, gaps, holes, frobenius = stack.pop()
+        genus = len(gaps)
+        yield genus, gens, gaps
+        if genus == max_genus:
+            continue
+        mu = gens[0]
+        for i in range(len(gens) - 1, bisect.bisect_right(gens, frobenius) - 1, -1):
+            m = gens[i]
+            child_holes = holes | 1 << m
+            if m == mu:
+                child_gens = tuple(range(m + 1, 2 * m + 2))
+            else:
+                child_gens = gens[:i] + gens[i + 1 :]
+                new = m + mu
+                for g in child_gens:
+                    if not child_holes >> (new - g) & 1:
+                        break  # new = g + (new - g) inside S'
+                else:
+                    child_gens += (new,)
+            stack.append((child_gens, gaps + (m,), child_holes, m))
+
+
+def _bits(mask):
+    return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
+
+
+def test_walk_matches_tuple_walk():
+    for max_genus in range(17):
+        walked = [(g, _bits(gens), _bits(holes)) for g, gens, holes in _walk(max_genus)]
+        assert walked == list(_walk_tuples(max_genus)), max_genus
+
+
+def test_count_by_genus_matches_tuple_walk():
+    totals = [0] * 19
+    pairs = [0] * 19
+    for genus, gens, _ in _walk_tuples(18):
+        totals[genus] += 1
+        pairs[genus] += len(gens) == 2
+    expected = list(zip(totals, pairs))
+    for g in range(19):
+        assert count_by_genus(g) == expected[: g + 1], g
