@@ -32,19 +32,18 @@ def _emit_json(payload) -> None:
 
 
 def _emit_json_listing(payload: dict, key: str, items) -> None:
-    """Print `json.dumps({**payload, key: list(items)}, indent=2)`, dumping
-    and writing one item at a time rather than building the whole list and
-    then one string for it."""
+    """Print `json.dumps({**payload, key: [...]}, indent=2)`, given the list
+    as the texts of its items, each indented as that dump indents an item
+    two levels deep, and write them one at a time rather than building the
+    whole list and then one string for it."""
     import json
 
-    encode = json.JSONEncoder(indent=2).encode
-    head = encode({**payload, key: []})  # ends with '[]\n}'
+    head = json.dumps({**payload, key: []}, indent=2)  # ends with '[]\n}'
     write = sys.stdout.write
     write(head[:-3])
     separator = "\n"
     for item in items:
-        # An item of the list sits two levels deep: four more spaces.
-        write(separator + "    " + encode(item).replace("\n", "\n    "))
+        write(separator + item)
         separator = ",\n"
     write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
@@ -81,7 +80,7 @@ def cmd_count(args, load_cache) -> int:
 
 
 def cmd_enumerate(args, load_cache) -> int:
-    from itertools import compress, count
+    from itertools import compress
 
     from .semigroup import bit_flags, count_by_genus, deepest_level
 
@@ -90,6 +89,8 @@ def cmd_enumerate(args, load_cache) -> int:
         counts = count_by_genus(args.genus)
     else:
         counts, deepest = deepest_level(args.genus)
+    # Generators of genus g are at most 2g + 1, gaps below them.
+    names = [str(s) for s in range(2 * args.genus + 2)]
     rows = [
         {"genus": g, "total": total, "two_generator": pairs}
         for g, (total, pairs) in enumerate(counts)
@@ -99,12 +100,16 @@ def cmd_enumerate(args, load_cache) -> int:
         if deepest is None:
             _emit_json(payload)
         else:
-            # From the masks: reading n.gaps would decode and keep a tuple per node.
+            # From the masks: reading n.gaps would decode and keep a tuple
+            # per node.  The lists sit three levels deep, as json.dumps
+            # indents them, and print as [] when empty.
+            def listed(mask: int) -> str:
+                body = ",\n        ".join(compress(names, bit_flags(mask)))
+                return f"[\n        {body}\n      ]" if body else "[]"
+
             nodes = (
-                {
-                    "gaps": list(compress(count(), bit_flags(n.gap_mask))),
-                    "generators": list(compress(count(), bit_flags(n.generator_mask))),
-                }
+                f'    {{\n      "gaps": {listed(n.gap_mask)},\n'
+                f'      "generators": {listed(n.generator_mask)}\n    }}'
                 for n in deepest
             )
             _emit_json_listing(payload, "semigroups", nodes)
@@ -114,8 +119,6 @@ def cmd_enumerate(args, load_cache) -> int:
         print(f"{row['genus']:>5}  {row['total']:>5}  {row['two_generator']:>13}")
     if deepest is not None:
         print(f"semigroups of genus {args.genus}:")
-        # Generators of genus g are at most 2g + 1, gaps below them.
-        names = [str(s) for s in range(2 * args.genus + 2)]
         for node in deepest:
             gaps = ",".join(compress(names, bit_flags(node.gap_mask)))
             gens = ",".join(compress(names, bit_flags(node.generator_mask)))

@@ -13,20 +13,28 @@ roots of x^i + 1 lie on the unit circle, those of 2x^j + 1 do not), and R
 lies in the ideal the two polynomials generate in Z[x].  So for every
 integer p the row gcd divides R and has only primes of m: it is 1 exactly
 when gcd(m, p^i + 1, 2 p^j + 1) is, which is taken on the powers of p mod
-m.  The row test thus reads only the class of p mod m, so a table of it
-over the m residues is exact for every p, and a sweep over at least m
-primes looks the row up instead.  m = m_k(i) is `row_modulus`, the one
-definition of the row modulus: `modulus` reads it to assemble M(k), so only
-primes of M(k) can divide a row gcd with i >= 1.  Its closed form keeps the
-count exact without any of the reduction it checks, which derives the same
-constant on its own.
+m.  m = m_k(i) is `row_modulus`, the one definition of the row modulus:
+`modulus` reads it to assemble M(k), so only primes of M(k) can divide a
+row gcd with i >= 1.  Its closed form keeps the count exact without any of
+the reduction it checks, which derives the same constant on its own.
 
-The rows whose m is above the number of primes swept share one screen.
-Since 2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
-2 p^k - 1; with L the lcm of those m, a prime with gcd(L, 2 p^k - 1) = 1
-keeps all of them at once.  At any other prime each row gcd divides both
-its m and g = gcd(L, 2 p^k - 1), so the row test with gcd(m, g) in place
-of m still sees every prime of the row gcd and stays exact.
+A sweep over many primes reads the rows prime by prime of m instead: the
+row gcd is 1 exactly when no prime q of m divides both p^i + 1 and
+2 p^j + 1.  For q up to the number of primes swept, that depends only on
+p mod q, so one table per q lists the rows dead at each class.  Its bad
+classes x (x^i = -1, 2 x^j = -1 mod q) come from Bezout: with
+g = gcd(i, j) = u i + v j they are empty or the g-th roots of
+t = (-1)^u (-1/2)^v.  A row without any costs three powers of t, and only
+a g that shares a prime with q - 1 takes a scan of x^g for its roots.
+
+The larger primes of m, its rough part r, share one screen.  Since
+2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
+2 p^k - 1; with L the lcm of the rough parts, a prime with
+gcd(L, 2 p^k - 1) = 1 keeps every rough part at once, and one gcd of L with
+the product of 2 p^k - 1 over a batch of primes clears the whole batch.
+At any other prime each row gcd's rough primes divide g = gcd(L, 2 p^k - 1),
+so the row test with gcd(r, g) in place of m still sees all of them and
+stays exact.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import functools
 import math
 from collections.abc import Iterator, Sequence
 
-from .arith import divisors, factorize, is_prime
+from .arith import divisors, factorize, is_prime, odd_primes_up_to
 
 
 class NotOddPrime(ValueError):
@@ -98,43 +106,118 @@ def _surviving_exponents(p: int, k: int) -> list[int]:
     return [i for i, j, m in _row_table(k) if _row_survives(p, i, j, m)]
 
 
-def _residue_table(m: int, rows) -> bytes:
-    """Entry r: how many of the rows (i, j, m) survive at every p = r mod m.
-    At most 2 d(k) of the rows of k share one m, d(k) the number of divisors
-    of k, so every entry fits a byte for k below 83,160."""
-    return bytes(
-        sum(_row_survives(r, i, j, m) for i, j, _ in rows) for r in range(m)
-    )
+# Primes per batch of the rough-part screen: one gcd for the whole batch,
+# prime by prime only in a batch that fails.  Sweep timings are flat between
+# 32 and 128.
+_SCREEN_BATCH = 64
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) = u a + v b, for a, b >= 0."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        quotient, a, b = a // b, b, a % b
+        u0, u1 = u1, u0 - quotient * u1
+        v0, v1 = v1, v0 - quotient * v1
+    return a, u0, v0
+
+
+def _bad_residues(q: int, i: int, j: int) -> list[int]:
+    """The x in [1, q) with x^i = -1 and 2 x^j = -1 (mod q), q an odd prime:
+    the classes of p mod q at which q divides gcd(p^i + 1, 2 p^j + 1).
+
+    With g = gcd(i, j) = u i + v j, each such x has x^g = t = (-1)^u (-1/2)^v,
+    and each root of x^g = t is one when t^(i/g) = -1 and t^(j/g) = -1/2.  So
+    the set is empty or the g-th roots of t: the one root t^(g^-1 mod q - 1)
+    when g is prime to q - 1, else none unless t^((q - 1)/d) = 1 with
+    d = gcd(g, q - 1), and then d roots, found by a scan of x^g.
+    """
+    g, u, v = _bezout(i, j)
+    half = (q - 1) // 2  # -1/2 mod q
+    t = pow(q - 1, u, q) * pow(half, v, q) % q
+    if pow(t, i // g, q) != q - 1 or pow(t, j // g, q) != half:
+        return []
+    d = math.gcd(g, q - 1)
+    if d == 1:
+        return [pow(t, pow(g, -1, q - 1), q)]
+    if pow(t, (q - 1) // d, q) != 1:
+        return []
+    return [x for x in range(1, q) if pow(x, g, q) == t]
+
+
+def _prime_tables(
+    primes: Sequence[int], k: int
+) -> tuple[list[tuple[int, list[int]]], list[tuple[int, int, int]]]:
+    """The rows of k as `_survivor_counts` sweeps them over `primes`.
+
+    First, per odd prime q <= len(primes) that divides some row modulus and
+    kills a row at some class mod q, the pair (q, table): table[r] has bit i
+    set for each row i whose gcd q divides at every p = r mod q.  Second, the
+    rows (i, j, r) whose rough part r -- the row modulus with its primes
+    <= len(primes) divided out -- is above 1.  The q come from the odd primes
+    up to len(primes), never from `primes` itself (a sweep that skips the
+    primes of M(k) would lose every table), so both depend only on k and
+    len(primes).
+    """
+    bound = len(primes)
+    rows = _row_table(k)
+    lcm = math.lcm(*(m for _, _, m in rows))
+    rough = [m // (m & -m) for _, _, m in rows]  # row gcds are odd
+    tables = []
+    for q in odd_primes_up_to(bound):
+        if lcm % q:
+            continue
+        table = None
+        for i, j, m in rows:
+            if m % q:
+                continue
+            while rough[i] % q == 0:
+                rough[i] //= q
+            for x in _bad_residues(q, i, j):
+                if pow(x, i, q) != q - 1 or (2 * pow(x, j, q) + 1) % q:
+                    raise ArithmeticError(f"k={k}, row {i}: {x} mod {q} is not bad")
+                if table is None:
+                    table = [0] * q
+                table[x] |= 1 << i
+        if table is not None:
+            tables.append((q, table))
+    return tables, [(i, j, r) for (i, j, _), r in zip(rows, rough) if r > 1]
 
 
 def _survivor_counts(primes: Sequence[int], k: int) -> Iterator[int]:
     """len(_surviving_exponents(p, k)) at each p of `primes`, in order.
 
-    Rows whose m is at most len(primes) are tested once per residue mod m,
-    rows that share m summed into one table.  The other, large rows are
-    screened together: every row gcd divides 2 p^k - 1 and its row's m, so
-    it divides g = gcd(L, 2 p^k - 1), L the lcm of the large m.  At g = 1
-    every large row survives; otherwise each is tested at p with
-    gcd(m, g) in place of m, which still has every prime of the row gcd.
-    Without large rows the loop only reads the tables.
+    A row dies at p exactly when some prime q of its modulus divides both
+    p^i + 1 and 2 p^j + 1.  For q <= len(primes) that depends on p mod q
+    only, so `_prime_tables` lists the dead rows per class; the count is
+    k + 1 less the rows set in the OR of table_q[p mod q].  The primes above
+    len(primes) are in the rough parts r, which share one screen: every row
+    gcd divides 2 p^k - 1, so its rough primes divide g = gcd(L, 2 p^k - 1),
+    L the lcm of the r.  A batch of primes whose product of 2 p^k - 1 mod L
+    is prime to L has g = 1 at each of its primes; in any other batch each
+    prime with g != 1 tests its rows not yet dead with gcd(r, g) in place of
+    the row modulus, which still has every rough prime of the row gcd.
     """
-    shared: dict[int, list[tuple[int, int, int]]] = {}
-    large = []
-    for row in _row_table(k):
-        if row[2] <= len(primes):
-            shared.setdefault(row[2], []).append(row)
-        else:
-            large.append(row)
-    tables = [(m, _residue_table(m, rows)) for m, rows in shared.items()]
-    lcm = math.lcm(*(m for _, _, m in large))
-    for p in primes:
-        count = sum(table[p % m] for m, table in tables)
-        if large:
-            g = math.gcd(lcm, 2 * pow(p, k, lcm) - 1)
-            count += len(large) if g == 1 else sum(
-                _row_survives(p, i, j, math.gcd(m, g)) for i, j, m in large
-            )
-        yield count
+    tables, rough = _prime_tables(primes, k)
+    lcm = math.lcm(*(r for _, _, r in rough))
+    rows = k + 1
+    for start in range(0, len(primes), _SCREEN_BATCH):
+        batch = primes[start : start + _SCREEN_BATCH]
+        values = [2 * pow(p, k, lcm) - 1 for p in batch] if rough else ()
+        product = 1
+        for value in values:
+            product = product * value % lcm
+        screened = math.gcd(lcm, product) == 1
+        for n, p in enumerate(batch):
+            dead = 0
+            for q, table in tables:
+                dead |= table[p % q]
+            if not screened and (g := math.gcd(lcm, values[n])) != 1:
+                for i, j, r in rough:
+                    alive = not dead >> i & 1
+                    if alive and not _row_survives(p, i, j, math.gcd(r, g)):
+                        dead |= 1 << i
+            yield rows - dead.bit_count()
 
 
 def count_prime_power(p: int, k: int) -> int:

@@ -198,23 +198,31 @@ def synthesize(k: int, cache=None) -> CountingFormula:
     return CountingFormula(k, constant, terms, tuple(rows))
 
 
-def _evaluator(formula: CountingFormula) -> Callable[[int], int]:
+def _evaluator(
+    formula: CountingFormula, largest: int | None = None
+) -> Callable[[int], int]:
     """`formula.evaluate`, reducing p once per distinct prime q.
 
     Bit j of a mask stands for term j.  Per q, each listed residue a maps
     to the mask of the terms that have the factor X(a,q), which p = a mod q
     sets to 0; the value is constant + len(terms) minus the terms killed.
+    When every p passed in is at most `largest`, p mod q = p for each q
+    above it, so those q share one dict, read at p itself.
     """
     masks: dict[int, dict[int, int]] = {}
+    above: dict[int, int] = {}
     for j, term in enumerate(formula.terms):
         for a, q in term.factors:
-            killers = masks.setdefault(q, {})
+            if largest is not None and q > largest:
+                killers = above
+            else:
+                killers = masks.setdefault(q, {})
             killers[a] = killers.get(a, 0) | 1 << j
     top = formula.constant + len(formula.terms)
     per_prime = tuple(masks.items())
 
     def value(p: int) -> int:
-        killed = 0
+        killed = above.get(p, 0)
         for q, killers in per_prime:
             killed |= killers.get(p % q, 0)
         return top - killed.bit_count()
@@ -225,8 +233,8 @@ def _evaluator(formula: CountingFormula) -> Callable[[int], int]:
 def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
     """Compare the formula with the direct count at every odd prime <= bound."""
     check_prime_bound(prime_bound)
-    evaluate = _evaluator(formula)
     primes = odd_primes_up_to(prime_bound)
+    evaluate = _evaluator(formula, primes[-1])
     mismatches = []
     for p, want in zip(primes, _survivor_counts(primes, formula.k)):
         got = evaluate(p)

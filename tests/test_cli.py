@@ -186,6 +186,31 @@ def test_enumerate_listing_is_pinned(capsys, tmp_path, extra):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_16_SHA256[extra]
 
 
+# sha256 of the stdout of `twogen enumerate --genus g` for g = 0, 1, 2, text
+# and --json, recorded from the listing written by json.dumps: genus 0 lists
+# an empty gaps list, and genus 1 and 2 lists of one and two entries.
+ENUMERATE_SMALL_SHA256 = {
+    (0, ()): "ac5df91254a5e363ab4811db71d21a6169c26a76790e54598cc3a74a0469abe9",
+    (0, ("--json",)): "14e180eaa787ce6c59c68512f971958d73855184cad013c4fcb7c06e57fc7e01",
+    (1, ()): "ec7eedb019e6dba5bcb8d357334e7c76c8bc4313468dc36eb7e6e8b26f459cbd",
+    (1, ("--json",)): "f721e01505db781e50278eee3d5a3e4740b9a7361b551466d6d5381721d56cb4",
+    (2, ()): "ff865eedd8f1bbed533f89191cb7558c4a7fd5c47dc1d5f04ddd3f29aff23d39",
+    (2, ("--json",)): "57cf1a8b08e6c78e5bfb86f98cde10af7249f1343ecd45c624a671d738a20694",
+}
+
+
+@pytest.mark.parametrize(
+    "genus, extra",
+    ENUMERATE_SMALL_SHA256,
+    ids=[f"{g}-{'json' if extra else 'text'}" for g, extra in ENUMERATE_SMALL_SHA256],
+)
+def test_small_enumerate_listings_are_pinned(capsys, tmp_path, genus, extra):
+    code, out, _ = run(capsys, tmp_path, "enumerate", "--genus", str(genus), *extra)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ENUMERATE_SMALL_SHA256[genus, extra]
+
+
 def test_reduce_text(capsys, tmp_path):
     code, out, _ = run(capsys, tmp_path, "reduce", "--alpha", "5", "--beta", "4")
     assert code == 0

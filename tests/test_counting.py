@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twogen.arith import odd_primes_up_to
+from twogen.factor_cache import FactorCache
 from twogen.counting import (
     NotOddPrime,
+    _bad_residues,
+    _prime_tables,
     _row_table,
     _survivor_counts,
     _surviving_exponents,
@@ -20,6 +23,7 @@ from twogen.counting import (
 from twogen.modulus import modulus_of
 from twogen.reduction import reduce
 from twogen.semigroup import count_two_generator, enumerate_by_genus
+from twogen.synthesis import synthesize
 
 
 def test_special_factorization_examples():
@@ -178,19 +182,101 @@ def _dependence_primes(k: int) -> list[int]:
     return [p for p in odd_primes_up_to(10_000) if modulus % p]
 
 
+def _table_primes(primes, k: int) -> list[int]:
+    """The primes q that `_survivor_counts` tabulates when it sweeps `primes`."""
+    return [q for q, _ in _prime_tables(primes, k)[0]]
+
+
 def test_the_table_boundary_cases_straddle_a_row_modulus():
-    # `_survivor_counts` tests the row of modulus 127 = 2^7 - 1 at each prime
-    # of a list of 126 primes, and tabulates it for a list of 127.
+    # The row of modulus 127 = 2^7 - 1 is prime, and 127 has a table at
+    # k = 12: `_survivor_counts` screens the row in the rough part of a list
+    # of 126 primes, and tabulates it for a list of 127.
     assert (7, 5, 127) in _row_table(12)
+
+
+def test_the_prime_table_cases_straddle_a_table():
+    assert 89 not in _table_primes(_PRIMES[-88:], 12)
+    assert 89 in _table_primes(_PRIMES[-89:], 12)
+    assert 127 not in _table_primes(_PRIMES[-126:], 12)
+    assert 127 in _table_primes(_PRIMES[-127:], 12)
+
+
+def _bad_residues_scan(q: int, top: int) -> dict[tuple[int, int], list[int]]:
+    """For 0 <= i, j <= top, not both 0: the x in [1, q) with x^i = -1 and
+    2 x^j = -1 (mod q), by a scan of both congruences over every x."""
+    minus_one = [[] for _ in range(top + 1)]  # x^i = -1
+    minus_half = [[] for _ in range(top + 1)]  # 2 x^j = -1
+    for x in range(1, q):
+        power = 1
+        for e in range(top + 1):
+            if power == q - 1:
+                minus_one[e].append(x)
+            if (2 * power + 1) % q == 0:
+                minus_half[e].append(x)
+            power = power * x % q
+    return {
+        (i, j): sorted(set(minus_one[i]) & set(minus_half[j]))
+        for i in range(top + 1)
+        for j in range(top + 1)
+        if i + j
+    }
+
+
+def test_bad_residues_match_a_scan_of_both_congruences():
+    for q in odd_primes_up_to(299):
+        for (i, j), bad in _bad_residues_scan(q, 40).items():
+            assert _bad_residues(q, i, j) == bad, (q, i, j)
+
+
+def test_tables_list_the_factors_of_the_derived_rows():
+    # Row by row, with no sampling: the classes at which a table prime kills
+    # a row are the factors X(a,q) the derivation lists for it.
+    primes = odd_primes_up_to(200_000)
+    assert len(primes) == 17_983
+    cache = FactorCache()
+    for k in range(1, 61):
+        killed = {i: set() for i in range(k + 1)}
+        for q, table in _prime_tables(primes, k)[0]:
+            for x in filter(table.__getitem__, range(q)):
+                for i in range(k + 1):
+                    if table[x] >> i & 1:
+                        killed[i].add((x, q))
+        derived = {i: set() for i in range(k + 1)}
+        for row in synthesize(k, cache).rows:
+            derived[row.i] = {(a, q) for a, q in row.factors if q <= len(primes)}
+        assert killed == derived, k
+
+
+def test_tables_do_not_depend_on_the_primes_swept():
+    # `dependence_check` sweeps only primes that do not divide M(k), so the
+    # primes it tabulates must not come from the swept list.
+    for k in (9, 60):
+        swept = _dependence_primes(k)
+        plain = _PRIMES[: len(swept)]
+        assert swept != plain
+        assert _table_primes(swept, k)
+        assert _prime_tables(swept, k) == _prime_tables(plain, k), k
 
 
 def _screen_hits(k: int) -> list[int]:
     """The primes p of `_PRIMES` with gcd(L, 2 p^k - 1) != 1, L the lcm of
-    the row moduli above len(_PRIMES): the primes at which `_survivor_counts`
-    tests its large rows one by one.  A shorter list has more large rows, so
-    these primes stay in the fallback when swept on their own."""
+    the row moduli above len(_PRIMES).  L has the rough parts of every row
+    of a sweep of `_PRIMES`, so these include every prime at which
+    `_survivor_counts` tests its rough parts one by one, and more."""
     moduli = (row_modulus(k, i) for i in range(k + 1))
     lcm = math.lcm(*(m for m in moduli if m > len(_PRIMES)))
+    hits = [p for p in _PRIMES if math.gcd(lcm, 2 * pow(p, k, lcm) - 1) != 1]
+    assert hits
+    return hits
+
+
+def _rough_hits(k: int) -> list[int]:
+    """The primes p of `_PRIMES` with gcd(L, 2 p^k - 1) != 1, L the lcm of
+    the rough parts of a sweep of `_PRIMES`: the primes at which
+    `_survivor_counts` tests its rough parts one by one.  A shorter list
+    divides fewer primes out of each rough part, so these primes stay in the
+    fallback when swept on their own."""
+    lcm = math.lcm(*(r for _, _, r in _prime_tables(_PRIMES, k)[1]))
     hits = [p for p in _PRIMES if math.gcd(lcm, 2 * pow(p, k, lcm) - 1) != 1]
     assert hits
     return hits
@@ -201,12 +287,15 @@ def _screen_hits(k: int) -> list[int]:
     [
         pytest.param([*range(1, 13), 30, 60], lambda k: _PRIMES, id="sweep"),
         pytest.param([60], _screen_hits, id="screen hits"),
+        pytest.param([30, 60, 120], _rough_hits, id="rough screen hits"),
         pytest.param([60], lambda k: [127, 8191, 131071], id="row-modulus primes"),
         pytest.param([90, 120, 128], lambda k: _PRIMES[-300:], id="large k"),
         pytest.param(range(1, 13), lambda k: _PRIMES[-1:], id="one prime"),
         pytest.param(range(1, 13), lambda k: _PRIMES[-2:], id="two primes"),
         pytest.param([12], lambda k: _PRIMES[-126:], id="below a table"),
         pytest.param([12], lambda k: _PRIMES[-127:], id="at a table"),
+        pytest.param([12], lambda k: _PRIMES[-88:], id="below a prime table"),
+        pytest.param([12], lambda k: _PRIMES[-89:], id="at a prime table"),
         pytest.param(range(2, 10), _dependence_primes, id="dependence"),
     ],
 )

@@ -91,8 +91,8 @@ def test_verify_formula():
 
 
 def test_verify_large_formulas():
-    # The largest derived formulas against the direct count, whose large
-    # rows `_survivor_counts` screens with one gcd per prime.
+    # The largest derived formulas against the direct count, whose rough
+    # parts `_survivor_counts` screens with one gcd per batch of primes.
     for k in (90, 120, 128):
         assert verify_formula(synthesize(k), 20_000).ok, k
 
@@ -335,6 +335,31 @@ def test_evaluator_matches_evaluate_on_derived_formulas():
         formula = synthesize(k)
         evaluate = _evaluator(formula)
         assert [evaluate(p) for p in primes] == [formula.evaluate(p) for p in primes]
+
+
+def test_evaluator_reads_the_primes_above_the_sweep_at_p():
+    # verify_formula passes the largest swept prime, so every q above it
+    # is read from one dict at p itself.  The mutant moves the residue of
+    # one such q onto a swept prime where its term was 1.
+    primes = arith.odd_primes_up_to(200_000)
+    largest = primes[-1]
+    for k in (30, 60):
+        formula = synthesize(k)
+        term = next(
+            t for t in formula.terms if any(q > largest for _, q in t.factors)
+        )
+        a, q = next(x for x in term.factors if x.q > largest)
+        p0 = next(p for p in primes if term(p))
+        moved = ProductTerm(
+            tuple(Indicator(p0, q) if x == (a, q) else x for x in term.factors)
+        )
+        terms = list(formula.terms)
+        terms[terms.index(term)] = moved
+        mutant = CountingFormula(k, formula.constant, tuple(terms))
+        assert mutant.evaluate(p0) == formula.evaluate(p0) - 1
+        for f in (formula, mutant):
+            evaluate = _evaluator(f, largest)
+            assert [evaluate(p) for p in primes] == [f.evaluate(p) for p in primes]
 
 
 @st.composite
