@@ -1,4 +1,4 @@
-"""Integer kernel: modular helpers, primality, factorization, radicals.
+"""Integer kernel: modular helpers and roots, primality, factorization, radicals.
 
 Everything works on Python's arbitrary-precision ints.  Primality is
 deterministic below ~3.3e24 (Miller-Rabin, fewest proven bases) and
@@ -527,15 +527,50 @@ def divisors(f: Factorization) -> list[int]:
     return sorted(divs)
 
 
+def _least_non_residue(q: int, primes: list[int]) -> int:
+    """Smallest g >= 2 that is no r-th power mod the prime q for each r in `primes`."""
+    powers = [(q - 1) // r for r in primes]
+    return next(g for g in itertools.count(2) if all(pow(g, e, q) != 1 for e in powers))
+
+
 def primitive_root(q: int, cache=None) -> int:
     """Smallest generator of the multiplicative group mod the prime q."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q == 2:
         return 1
-    qm1 = q - 1
-    prime_divs = [p for p, _ in factorize(qm1, cache).factors]
-    for g in range(2, q):
-        if all(pow(g, qm1 // r, q) != 1 for r in prime_divs):
-            return g
-    raise AssertionError(f"no primitive root found for prime {q}")
+    return _least_non_residue(q, [p for p, _ in factorize(q - 1, cache).factors])
+
+
+def power_roots(a: int, s: int, q: int) -> list[int]:
+    """The sorted x in [0, q) with x^s = a mod the prime q, for s | q-1 and
+    0 <= a < q: none unless Euler's criterion a^((q-1)/s) = 1 holds, else s
+    roots by Adleman-Manders-Miller.  Write q-1 = t*m with t made of the
+    primes of s; raising to s permutes the part of order m, so
+    z = a^(s^-1 mod m) leaves b = a*z^-s in the cyclic part of order t,
+    generated by c = g^m for any g that is no r-th power for each prime r
+    of s.  A Pohlig-Hellman discrete log, one prime digit of t at a time,
+    gives c^log = b with s | log, and the roots are z*c^(log/s + j*t/s)
+    for j < s.
+    """
+    if s == 1 or a == 0:
+        # x^s is divisible by q exactly when x is.
+        return [a]
+    if pow(a, (q - 1) // s, q) != 1:
+        return []
+    primes = [r for r, _ in factorize(s).factors]
+    t, m, digits = 1, q - 1, []
+    for r in primes:
+        while m % r == 0:
+            t, m = t * r, m // r
+            digits.append(r)
+    c = pow(_least_non_residue(q, primes), m, q)
+    z = pow(a, pow(s, -1, m), q)
+    b = a * pow(z, -s, q) % q
+    log, done = 0, 1
+    for r in digits:
+        target = pow(b * pow(c, -log, q), t // (done * r), q)
+        zeta = pow(c, t // r, q)  # of order r
+        log += done * next(d for d in range(r) if pow(zeta, d, q) == target)
+        done *= r
+    return sorted(z * pow(c, log // s + j * (t // s), q) % q for j in range(s))

@@ -51,6 +51,9 @@ def _emit_json_listing(payload: dict, key: str, items) -> None:
 def cmd_count(args, load_cache) -> int:
     if (args.genus is None) == (args.prime is None):
         raise ValueError("need exactly one of --genus or --prime/--power")
+    if (args.prime is None) != (args.power is None):
+        given, needed = ("--prime", "--power") if args.power is None else ("--power", "--prime")
+        raise ValueError(f"{given} requires {needed}")
     if args.genus is not None:
         pairs = special_factorizations(args.genus, load_cache())
         if args.json:
@@ -64,8 +67,6 @@ def cmd_count(args, load_cache) -> int:
                 for u, v in pairs:
                     print(f"  {{{u}, {v}}}")
         return EXIT_OK
-    if args.power is None:
-        raise ValueError("--prime requires --power")
     exponents = surviving_exponents(args.prime, args.power)
     if args.json:
         payload = {"prime": args.prime, "power": args.power, "count": len(exponents)}

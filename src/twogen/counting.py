@@ -24,8 +24,8 @@ row gcd is 1 exactly when no prime q of m divides both p^i + 1 and
 p mod q, so one table per q lists the rows dead at each class.  Its bad
 classes x (x^i = -1, 2 x^j = -1 mod q) come from Bezout: with
 g = gcd(i, j) = u i + v j they are empty or the g-th roots of
-t = (-1)^u (-1/2)^v.  A row without any costs three powers of t, and only
-a g that shares a prime with q - 1 takes a scan of x^g for its roots.
+t = (-1)^u (-1/2)^v.  A row without any costs three powers of t, the others
+a call of `arith.power_roots`, whose classes are then checked.
 
 The larger primes of m, its rough part r, share one screen.  Since
 2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
@@ -43,7 +43,7 @@ import functools
 import math
 from collections.abc import Iterator, Sequence
 
-from .arith import divisors, factorize, is_prime, odd_primes_up_to
+from .arith import divisors, factorize, is_prime, odd_primes_up_to, power_roots
 
 
 class NotOddPrime(ValueError):
@@ -128,9 +128,9 @@ def _bad_residues(q: int, i: int, j: int) -> list[int]:
 
     With g = gcd(i, j) = u i + v j, each such x has x^g = t = (-1)^u (-1/2)^v,
     and each root of x^g = t is one when t^(i/g) = -1 and t^(j/g) = -1/2.  So
-    the set is empty or the g-th roots of t: the one root t^(g^-1 mod q - 1)
-    when g is prime to q - 1, else none unless t^((q - 1)/d) = 1 with
-    d = gcd(g, q - 1), and then d roots, found by a scan of x^g.
+    the set is empty or the g-th roots of t: none unless t^((q - 1)/d) = 1
+    with d = gcd(g, q - 1), and then the d roots of x^d = t^e, since
+    e = (g/d)^-1 mod (q - 1)/d undoes the power g/d on such a t.
     """
     g, u, v = _bezout(i, j)
     half = (q - 1) // 2  # -1/2 mod q
@@ -138,11 +138,12 @@ def _bad_residues(q: int, i: int, j: int) -> list[int]:
     if pow(t, i // g, q) != q - 1 or pow(t, j // g, q) != half:
         return []
     d = math.gcd(g, q - 1)
-    if d == 1:
-        return [pow(t, pow(g, -1, q - 1), q)]
     if pow(t, (q - 1) // d, q) != 1:
         return []
-    return [x for x in range(1, q) if pow(x, g, q) == t]
+    roots = power_roots(pow(t, pow(g // d, -1, (q - 1) // d), q), d, q)
+    if len(roots) != d:
+        raise ArithmeticError(f"x^{g} = {t} mod {q} has {len(roots)} roots, not {d}")
+    return roots
 
 
 def _prime_tables(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, mod_inverse
+from .arith import factorize, is_prime, mod_inverse, power_roots
 
 
 class _IndicatorFields(NamedTuple):
@@ -88,46 +88,12 @@ def strip_exponent(x: Indicator, s: int) -> tuple[Indicator, int]:
 
 
 def expand_power(x: Indicator, s: int) -> tuple[Indicator, ...]:
-    """Rewrite x at n^s (s dividing q-1) as a product of indicators at n.
-
-    Returns the empty tuple -- the constant-1 product -- when the residue
-    has no s-th root mod q, as Euler's criterion a^((q-1)/s) != 1 tells.
-    Otherwise the condition n^s = a splits over the s roots of a, found by
-    Adleman-Manders-Miller.  Write q-1 = t*m with t made of the primes of
-    s; raising to s permutes the part of order m, so z = a^(s^-1 mod m)
-    leaves b = a*z^-s in the cyclic part of order t, generated by c = g^m
-    for any g that is no r-th power for each prime r of s.  A Pohlig-Hellman
-    discrete log, one prime digit of t at a time, gives c^log = b with
-    s | log, and the roots are z*c^(log/s + j*t/s) for j < s.
-    """
-    q, a = x.q, x.a
+    """Rewrite x at n^s (s dividing q-1) as the product of X(r,q) at n over
+    the s-th roots r of its residue (`arith.power_roots`); () when none."""
+    q = x.q
     if s < 1 or (q - 1) % s != 0:
         raise ValueError(f"exponent {s} must divide q - 1 = {q - 1}")
-    if s == 1 or a == 0:
-        # n^s is divisible by q exactly when n is.
-        return (x,)
-    if pow(a, (q - 1) // s, q) != 1:
-        return ()
-    primes = [r for r, _ in factorize(s).factors]
-    t, m, digits = 1, q - 1, []
-    for r in primes:
-        while m % r == 0:
-            t, m = t * r, m // r
-            digits.append(r)
-    g = 2
-    while any(pow(g, (q - 1) // r, q) == 1 for r in primes):
-        g += 1
-    c = pow(g, m, q)
-    z = pow(a, pow(s, -1, m), q)
-    b = a * pow(z, -s, q) % q
-    log, done = 0, 1
-    for r in digits:
-        target = pow(b * pow(c, -log, q), t // (done * r), q)
-        zeta = pow(c, t // r, q)  # of order r
-        log += done * next(d for d in range(r) if pow(zeta, d, q) == target)
-        done *= r
-    roots = [z * pow(c, log // s + j * (t // s), q) % q for j in range(s)]
-    return tuple(sorted((Indicator._of_prime(r, q) for r in roots), key=_sort_key))
+    return tuple(Indicator._of_prime(r, q) for r in power_roots(x.a, s, q))
 
 
 def reduce_power(a: int, q: int, s: int, cache=None) -> tuple[Indicator, ...]:

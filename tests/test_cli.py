@@ -121,6 +121,15 @@ def test_count_requires_one_mode(capsys, tmp_path):
     assert code == 2
 
 
+def test_count_power_and_prime_need_each_other(capsys, tmp_path):
+    code, out, err = run(capsys, tmp_path, "count", "--genus", "5", "--power", "3")
+    assert (code, out) == (2, "")
+    assert "--power requires --prime" in err
+    code, out, err = run(capsys, tmp_path, "count", "--prime", "5")
+    assert (code, out) == (2, "")
+    assert "--prime requires --power" in err
+
+
 def test_count_rejects_even_prime(capsys, tmp_path):
     code, _, err = run(capsys, tmp_path, "count", "--prime", "2", "--power", "3")
     assert code == 2

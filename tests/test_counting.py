@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twogen.arith import odd_primes_up_to
+from twogen.arith import factorize, odd_primes_up_to
 from twogen.factor_cache import FactorCache
 from twogen.counting import (
     NotOddPrime,
@@ -245,6 +246,52 @@ def test_tables_list_the_factors_of_the_derived_rows():
         for row in synthesize(k, cache).rows:
             derived[row.i] = {(a, q) for a, q in row.factors if q <= len(primes)}
         assert killed == derived, k
+
+
+_ROW_PRIME_CACHE = FactorCache()
+
+
+@functools.cache
+def _row_primes(k: int) -> list[tuple[int, int, int]]:
+    """(i, j, q) for every row of k and every odd prime q of its modulus."""
+    return [
+        (i, j, q)
+        for i, j, m in _row_table(k)
+        for q, _ in factorize(m, _ROW_PRIME_CACHE).factors
+        if q > 2
+    ]
+
+
+def test_bad_residues_are_the_derived_factors_at_every_row_prime():
+    # `several` counts the pairs with more than one bad class: their q, of up
+    # to 13 digits, are far beyond a scan of the classes.
+    for k, pairs, several in ((60, 79, 10), (120, 195, 33), (128, 348, 40)):
+        rows = {row.i: row for row in synthesize(k, _ROW_PRIME_CACHE).rows}
+        assert len(_row_primes(k)) == pairs, k
+        sizes = []
+        for i, j, q in _row_primes(k):
+            bad = _bad_residues(q, i, j)
+            assert bad == [a for a, r in rows[i].factors if r == q], (k, i, q)
+            assert len(bad) in (0, math.gcd(i, j, q - 1)), (k, i, q)
+            for x in bad:
+                assert pow(x, i, q) == q - 1 and (2 * pow(x, j, q) + 1) % q == 0
+            sizes.append(len(bad))
+        assert sum(size > 1 for size in sizes) == several, k
+
+
+def test_bad_residues_match_sympy_at_large_row_primes():
+    sympy = pytest.importorskip("sympy")
+    checked = []
+    for k in (120, 128):
+        for i, j, q in _row_primes(k):
+            if q < 10**12:
+                continue
+            minus_one = sympy.nthroot_mod(q - 1, i, q, all_roots=True) or []
+            minus_half = sympy.nthroot_mod((q - 1) // 2, j, q, all_roots=True) or []
+            bad = _bad_residues(q, i, j)
+            assert bad == sorted(set(minus_one) & set(minus_half)), (k, i, q)
+            checked.append(bool(bad))
+    assert (len(checked), sum(checked)) == (45, 44)
 
 
 def test_tables_do_not_depend_on_the_primes_swept():

@@ -64,6 +64,19 @@ def test_import_twogen_loads_no_layer():
     assert _twogen_modules_after_import("twogen") == "['twogen']\n"
 
 
+def test_every_layer_imports_without_site_packages():
+    # The package is pure standard library: with no site-packages, importing
+    # every layer loads every twogen module and nothing fails, so a stray
+    # import of a test dependency (sympy, hypothesis) in src is caught here.
+    layers = ("cli", "synthesis", "semigroup", "reduction", "indicators",
+              "modulus", "factor_cache", "counting", "arith")
+    assert _twogen_modules_after_import(", ".join(f"twogen.{m}" for m in layers)) == (
+        "['twogen', 'twogen.arith', 'twogen.cli', 'twogen.counting',"
+        " 'twogen.factor_cache', 'twogen.indicators', 'twogen.modulus',"
+        " 'twogen.reduction', 'twogen.semigroup', 'twogen.synthesis']\n"
+    )
+
+
 def test_counting_imports_only_arith():
     # The direct count is an oracle for the reduction: it must not load the
     # layers it checks.
