@@ -543,34 +543,41 @@ def primitive_root(q: int, cache=None) -> int:
 
 
 def power_roots(a: int, s: int, q: int) -> list[int]:
-    """The sorted x in [0, q) with x^s = a mod the prime q, for s | q-1 and
-    0 <= a < q: none unless Euler's criterion a^((q-1)/s) = 1 holds, else s
-    roots by Adleman-Manders-Miller.  Write q-1 = t*m with t made of the
-    primes of s; raising to s permutes the part of order m, so
-    z = a^(s^-1 mod m) leaves b = a*z^-s in the cyclic part of order t,
-    generated by c = g^m for any g that is no r-th power for each prime r
-    of s.  A Pohlig-Hellman discrete log, one prime digit of t at a time,
-    gives c^log = b with s | log, and the roots are z*c^(log/s + j*t/s)
-    for j < s.
+    """The sorted x in [0, q) with x^s = a mod the prime q, for s >= 1 and
+    0 <= a < q.  With d = gcd(s, q-1), raising to s/d permutes the d-th
+    powers, so there are none unless Euler's criterion a^((q-1)/d) = 1
+    holds, and then x^s = a is x^d = a^e with e = (s/d)^-1 mod (q-1)/d, the
+    RSA step; its d roots come from Adleman-Manders-Miller.  Write
+    q-1 = t*m with t made of the primes of d; raising to d permutes the
+    part of order m, so z = a^(d^-1 mod m) leaves b = a*z^-d in the cyclic
+    part of order t, generated by c = g^m for any g that is no r-th power
+    for each prime r of d.  A Pohlig-Hellman discrete log, one prime digit
+    of t at a time, gives c^log = b with d | log, and the roots are
+    z*c^(log/d + j*t/d) for j < d.
     """
-    if s == 1 or a == 0:
+    if a == 0:
         # x^s is divisible by q exactly when x is.
-        return [a]
-    if pow(a, (q - 1) // s, q) != 1:
+        return [0]
+    d = math.gcd(s, q - 1)
+    if d > 1 and pow(a, (q - 1) // d, q) != 1:
         return []
-    primes = [r for r, _ in factorize(s).factors]
+    if s > d:
+        a = pow(a, pow(s // d, -1, (q - 1) // d), q)
+    if d == 1:
+        return [a]
+    primes = [r for r, _ in factorize(d).factors]
     t, m, digits = 1, q - 1, []
     for r in primes:
         while m % r == 0:
             t, m = t * r, m // r
             digits.append(r)
     c = pow(_least_non_residue(q, primes), m, q)
-    z = pow(a, pow(s, -1, m), q)
-    b = a * pow(z, -s, q) % q
+    z = pow(a, pow(d, -1, m), q)
+    b = a * pow(z, -d, q) % q
     log, done = 0, 1
     for r in digits:
         target = pow(b * pow(c, -log, q), t // (done * r), q)
         zeta = pow(c, t // r, q)  # of order r
-        log += done * next(d for d in range(r) if pow(zeta, d, q) == target)
+        log += done * next(n for n in range(r) if pow(zeta, n, q) == target)
         done *= r
-    return sorted(z * pow(c, log // s + j * (t // s), q) % q for j in range(s))
+    return sorted(z * pow(c, log // d + j * (t // d), q) % q for j in range(d))

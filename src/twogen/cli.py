@@ -334,13 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="factorization cache file (default ./factors.txt)",
     )
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
-        "--prime-bound",
-        type=int,
-        default=2000,
-        metavar="N",
-        help="bound for prime sweeps (default 2000)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="twogen",
@@ -413,6 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.set_defaults(func=cmd_xreduce)
 
+    # Only the commands that sweep primes take a bound for the sweep.
+    for name in ("reduce", "verify-dependence", "verify"):
+        sub.choices[name].add_argument(
+            "--prime-bound",
+            type=int,
+            default=2000,
+            metavar="N",
+            help="bound for prime sweeps (default 2000)",
+        )
     return parser
 
 

@@ -24,8 +24,8 @@ row gcd is 1 exactly when no prime q of m divides both p^i + 1 and
 p mod q, so one table per q lists the rows dead at each class.  Its bad
 classes x (x^i = -1, 2 x^j = -1 mod q) come from Bezout: with
 g = gcd(i, j) = u i + v j they are empty or the g-th roots of
-t = (-1)^u (-1/2)^v.  A row without any costs three powers of t, the others
-a call of `arith.power_roots`, whose classes are then checked.
+t = (-1)^u (-1/2)^v.  Each row costs two powers of t and, when both pass,
+one call of `arith.power_roots`, whose classes are then checked.
 
 The larger primes of m, its rough part r, share one screen.  Since
 2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
@@ -128,20 +128,16 @@ def _bad_residues(q: int, i: int, j: int) -> list[int]:
 
     With g = gcd(i, j) = u i + v j, each such x has x^g = t = (-1)^u (-1/2)^v,
     and each root of x^g = t is one when t^(i/g) = -1 and t^(j/g) = -1/2.  So
-    the set is empty or the g-th roots of t: none unless t^((q - 1)/d) = 1
-    with d = gcd(g, q - 1), and then the d roots of x^d = t^e, since
-    e = (g/d)^-1 mod (q - 1)/d undoes the power g/d on such a t.
+    the set is empty or the g-th roots of t, from `arith.power_roots`: none,
+    or gcd(g, q - 1) of them.
     """
     g, u, v = _bezout(i, j)
     half = (q - 1) // 2  # -1/2 mod q
     t = pow(q - 1, u, q) * pow(half, v, q) % q
     if pow(t, i // g, q) != q - 1 or pow(t, j // g, q) != half:
         return []
-    d = math.gcd(g, q - 1)
-    if pow(t, (q - 1) // d, q) != 1:
-        return []
-    roots = power_roots(pow(t, pow(g // d, -1, (q - 1) // d), q), d, q)
-    if len(roots) != d:
+    roots, d = power_roots(t, g, q), math.gcd(g, q - 1)
+    if roots and len(roots) != d:
         raise ArithmeticError(f"x^{g} = {t} mod {q} has {len(roots)} roots, not {d}")
     return roots
 

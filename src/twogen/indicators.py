@@ -6,12 +6,13 @@ gcd(n - a, q) = 1, which is how it captures "this gcd equals 1" conditions.
 For composite moduli the indicator splits into one factor per distinct
 prime, so it only ever depends on the radical of the modulus.
 
-The two exponent-stripping tools rewrite an indicator evaluated at a power
-n^s as a product of indicators evaluated at n itself: first the invertible
-part of the exponent is absorbed into the residue (the RSA trick: raising
-to an exponent coprime to q-1 permutes residues), then the remaining
-exponent t | q-1 either kills the condition entirely (the residue has no
-t-th root) or splits it over the t roots.
+An indicator evaluated at a power n^s is a product of indicators evaluated
+at n itself, one X(r,q) per root r of x^s = a mod q, and the constant 1
+when there is none: all of it is `arith.power_roots`, which reduces any
+exponent to d = gcd(s, q-1) with the RSA step (raising to an exponent
+coprime to q-1 permutes residues) and takes the d-th roots.
+`strip_exponent` keeps only the first step, n^s = a as n^d = r^d, and
+`expand_power` only the second, for s | q-1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, mod_inverse, power_roots
+from .arith import factorize, is_prime, power_roots
 
 
 class _IndicatorFields(NamedTuple):
@@ -63,28 +64,20 @@ def decompose(a: int, q: int, cache=None) -> tuple[Indicator, ...]:
 
 
 def strip_exponent(x: Indicator, s: int) -> tuple[Indicator, int]:
-    """Rewrite x evaluated at n^s as an indicator at n^t with t | q-1.
+    """Rewrite x evaluated at n^s as an indicator at n^t, t = gcd(s, q-1).
 
-    Splits the exponent (reduced mod q-1, since n^s and n^s' agree on all
-    residues whenever s = s' (mod q-1) and both are >= 1) as t*e with
-    t = gcd of the reduced exponent and q-1, and e invertible mod q-1.
-    Raising to e permutes residues mod q, with inverse d = e^-1 mod q-1,
-    so the condition n^s = a becomes n^t = a^d.
+    For any root r of x^s = a (`arith.power_roots`), n^s = r^s exactly when
+    n/r has order dividing t, so the condition n^s = a becomes n^t = r^t.
+    Without a root, a is no t-th power either and x is returned unchanged.
     """
     if s < 1:
         raise ValueError(f"exponent must be >= 1, got {s}")
     q = x.q
-    group_order = q - 1
-    if group_order == 1:
-        return x, 1
-    reduced = (s - 1) % group_order + 1
-    t = math.gcd(reduced, group_order)
-    step = group_order // t
-    e = reduced // t
-    while math.gcd(e, group_order) != 1:
-        e += step
-    d = mod_inverse(e, group_order)
-    return Indicator._of_prime(pow(x.a, d, q), q), t
+    t = math.gcd(s, q - 1)
+    roots = power_roots(x.a, s, q)
+    if not roots:
+        return x, t
+    return Indicator._of_prime(pow(roots[0], t, q), q), t
 
 
 def expand_power(x: Indicator, s: int) -> tuple[Indicator, ...]:
@@ -98,16 +91,15 @@ def expand_power(x: Indicator, s: int) -> tuple[Indicator, ...]:
 
 def reduce_power(a: int, q: int, s: int, cache=None) -> tuple[Indicator, ...]:
     """Fully reduce the indicator of a mod q at argument n^s to first-power,
-    prime-modulus factors.  The empty tuple is the constant 1."""
+    prime-modulus factors, sorted by (q, a): per prime of q, one X(r, q) at n
+    for each s-th root r of a (`arith.power_roots`).  The empty tuple is the
+    constant 1."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     if s < 1:
         raise ValueError(f"exponent must be >= 1, got {s}")
-    collected: set[Indicator] = set()
-    for x in decompose(a, q, cache):
-        if s > 1:
-            x, t = strip_exponent(x, s)
-            collected.update(expand_power(x, t))
-        else:
-            collected.add(x)
-    return tuple(sorted(collected, key=_sort_key))
+    return tuple(
+        Indicator._of_prime(r, x.q)
+        for x in decompose(a, q, cache)
+        for r in power_roots(x.a, s, x.q)
+    )

@@ -12,6 +12,7 @@ rather than failing the whole computation.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .arith import (
@@ -56,44 +57,41 @@ class DependenceReport(NamedTuple):
         return {value for _, value in self.classes}
 
 
-def modulus_of(k: int, cache=None) -> ModulusReport:
-    """Compute M(k) as the union of the prime supports of the m_k(i)."""
-    return _modulus(k, cache)[0]
-
-
-def _modulus(k: int, cache) -> tuple[ModulusReport, dict[int, FactorizationTimeout]]:
-    """`modulus_of`, with the timeout caught on each unfactored m_k(i).  Each
-    distinct m_k(i) > 1 is factored once, in increasing order."""
+def _row_moduli(k: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """The pairs (i, m_k(i)) for 1 <= i <= k, and the distinct m_k(i) > 1 in
+    increasing order, the order in which they are factored."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     per_i = tuple((i, row_modulus(k, i)) for i in range(1, k + 1))
+    return per_i, sorted({m for _, m in per_i} - {1})
+
+
+def modulus_of(k: int, cache=None) -> ModulusReport:
+    """Compute M(k) as the union of the prime supports of the m_k(i), each
+    distinct m_k(i) > 1 factored once; one that times out is unfactored."""
+    per_i, moduli = _row_moduli(k)
     primes: set[int] = set()
-    timeouts: dict[int, FactorizationTimeout] = {}
-    for m in sorted({m for _, m in per_i} - {1}):
+    unfactored = []
+    for m in moduli:
         try:
-            fact = factorize(m, cache)
-        except FactorizationTimeout as exc:
-            timeouts[m] = exc
-            continue
-        primes.update(p for p, _ in fact.factors)
-    modulus = 1
-    for p in sorted(primes):
-        modulus *= p
-    factors = Factorization(modulus, tuple((p, 1) for p in sorted(primes)))
-    report = ModulusReport(k, per_i, modulus, factors, tuple(timeouts))
-    return report, timeouts
+            primes.update(p for p, _ in factorize(m, cache).factors)
+        except FactorizationTimeout:
+            unfactored.append(m)
+    ordered = sorted(primes)
+    factors = Factorization(math.prod(ordered), tuple((p, 1) for p in ordered))
+    return ModulusReport(k, per_i, factors.value, factors, tuple(unfactored))
 
 
 def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     """Group odd primes p <= bound (p not dividing M(k)) by p mod M(k) and
     confirm the direct count n(p^k,2) is constant within each group.  Raises
-    the FactorizationTimeout of the least unfactored m_k(i), if any, and
-    ValueError when every odd prime <= bound divides M(k)."""
+    the FactorizationTimeout of the least unfactored m_k(i), hunting no
+    larger one, and ValueError when every odd prime <= bound divides M(k)."""
     check_prime_bound(prime_bound)
-    report, timeouts = _modulus(k, cache)
-    if timeouts:
-        raise timeouts[report.unfactored[0]]
-    m = report.modulus
+    support: set[int] = set()
+    for m in _row_moduli(k)[1]:
+        support.update(p for p, _ in factorize(m, cache).factors)
+    m = math.prod(support)
     primes = [p for p in odd_primes_up_to(prime_bound) if m % p]
     if not primes:
         raise ValueError(

@@ -28,6 +28,7 @@ from twogen.arith import (
     factorize,
     is_prime,
     mod_inverse,
+    power_roots,
     primes_up_to,
     primitive_root,
     radical,
@@ -490,3 +491,25 @@ def test_primitive_root_is_smallest():
 def test_primitive_root_requires_prime():
     with pytest.raises(ValueError):
         primitive_root(15)
+
+
+def test_power_roots_at_every_exponent_match_a_scan():
+    # s runs over two periods of q - 1, so most exponents do not divide it.
+    for q in primes_up_to(100):
+        for s in range(1, 2 * (q - 1) + 1):
+            roots: dict[int, list[int]] = {}
+            for x in range(q):
+                roots.setdefault(pow(x, s, q), []).append(x)
+            for a in range(q):
+                assert power_roots(a, s, q) == roots.get(a, []), (a, s, q)
+
+
+def test_power_roots_at_exponents_not_dividing_q_minus_1_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2026)
+    for _ in range(40):
+        q = sympy.nextprime(rng.randrange(2, 10 ** rng.randint(2, 30)))
+        s = rng.choice([s for s in range(2, 200) if (q - 1) % s])
+        for a in (rng.randrange(1, q), pow(rng.randrange(1, q), s, q)):
+            want = sympy.nthroot_mod(a, s, q, all_roots=True) or []
+            assert power_roots(a, s, q) == sorted(want), (a, s, q)

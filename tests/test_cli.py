@@ -312,6 +312,20 @@ def test_sweeps_need_an_odd_prime(capsys, tmp_path):
         assert err == f"error: prime_bound must be >= 3, got {bound}\n"
 
 
+def test_only_the_sweeps_take_a_prime_bound(capsys, tmp_path):
+    for argv in (
+        ("count", "--genus", "4"),
+        ("enumerate", "--genus", "3"),
+        ("modulus", "--k", "3"),
+        ("derive", "--k", "3"),
+        ("minimal-modulus", "--k", "3"),
+        ("xreduce", "--a", "2", "--q", "7", "--s", "3"),
+    ):
+        code, out, err = run(capsys, tmp_path, *argv, "--prime-bound", "-5")
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: --prime-bound -5" in err, argv
+
+
 def test_verify_checks_the_bound_before_deriving(capsys, tmp_path, monkeypatch):
     def derive(k, cache=None):
         raise AssertionError("verify derived the formula before checking --prime-bound")

@@ -186,3 +186,25 @@ def test_a_modulus_shared_by_rows_is_hunted_once(monkeypatch):
     with pytest.raises(FactorizationTimeout) as info:
         dependence_check(60, 100)
     assert len(raised) == 2 and info.value is raised[1]
+
+
+def test_dependence_check_hunts_nothing_after_the_first_timeout(monkeypatch):
+    # The distinct row moduli of k = 9 in the order they are factored: the
+    # budget runs out on 33, so 129 and 257 are never hunted.
+    assert sorted({row_modulus(9, i) for i in range(1, 10)} - {1}) == [
+        3, 5, 17, 33, 129, 257,
+    ]
+    real = factorize
+    calls = []
+
+    def flaky(n, cache=None, **kwargs):
+        calls.append(n)
+        if n == 33:
+            raise FactorizationTimeout(n, 11, 12345, "p-1")
+        return real(n, cache, **kwargs)
+
+    monkeypatch.setattr(modulus_mod, "factorize", flaky)
+    with pytest.raises(FactorizationTimeout) as info:
+        dependence_check(9, 100)
+    assert info.value.n == 33
+    assert calls == [3, 5, 17, 33]
