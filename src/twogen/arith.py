@@ -31,7 +31,8 @@ import functools
 import itertools
 import math
 import random
-from collections.abc import Iterator
+import sys
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 TRIAL_DIVISION_BOUND = 10_000
@@ -200,7 +201,49 @@ def primes_up_to(n: int) -> list[int]:
 
 def odd_primes_up_to(n: int) -> list[int]:
     """All odd primes <= n."""
-    return [p for p in primes_up_to(n) if p != 2]
+    return primes_up_to(n)[1:]
+
+
+# Integers per window of `class_counts`: each group costs one bytearray and
+# one int of this many digits per window.
+_WINDOW = 1 << 16
+
+
+def class_counts(
+    groups: Sequence[Sequence[tuple[int, int]]], constant: int, numbers: Iterable[int]
+) -> list[int]:
+    """At each n of the sorted nonnegative `numbers`: `constant` plus the
+    number of groups that no class of theirs hits, n != a (mod q) for every
+    (a, q) in the group.
+
+    Like a segmented sieve, window by window of _WINDOW integers, visiting
+    only the windows that hold some n: per group a bytearray of ones, each
+    class zeroed with one slice, then added to a running total as an int
+    whose digits are the positions.  A digit is as wide as the largest
+    count, len(groups), needs, so digits never carry.
+    """
+    width = 1
+    while len(groups) >> 8 * width:
+        width *= 2
+    one = (1).to_bytes(width, sys.byteorder)
+    low = one.index(1)  # the byte of a digit that holds its 1
+    counts = []
+    for index, window in itertools.groupby(numbers, _WINDOW.__rfloordiv__):
+        lo, window = index * _WINDOW, list(window)
+        size = window[-1] - lo + 1
+        ones, total = one * size, 0
+        for group in groups:
+            digits = bytearray(ones)
+            for a, q in group:
+                start = (a - lo) % q
+                if start < size:
+                    hits = (size - 1 - start) // q + 1
+                    digits[width * start + low :: width * q] = bytes(hits)
+            total += int.from_bytes(digits, sys.byteorder)
+        view = memoryview(total.to_bytes(width * size, sys.byteorder))
+        alive = view.cast("BHIQ"[width.bit_length() - 1])
+        counts += [constant + alive[n - lo] for n in window]
+    return counts
 
 
 def _iroot(n: int, k: int) -> int:

@@ -433,10 +433,12 @@ def main(argv=None) -> int:
         return loaded[0]
 
     try:
-        code = args.func(args, load_cache)
-        if loaded and loaded[0].dirty:
-            loaded[0].save(args.factor_cache)
-        return code
+        try:
+            return args.func(args, load_cache)
+        finally:
+            # On a timeout too: the next run starts from what was factored.
+            if loaded and loaded[0].dirty:
+                loaded[0].save(args.factor_cache)
     # The class of a layer error decides its code: a derivation blocked on a
     # row is a factoring timeout, a genus above the census cap a ValueError.
     except FactorizationTimeout as exc:

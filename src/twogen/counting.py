@@ -21,11 +21,13 @@ the reduction it checks, which derives the same constant on its own.
 A sweep over many primes reads the rows prime by prime of m instead: the
 row gcd is 1 exactly when no prime q of m divides both p^i + 1 and
 2 p^j + 1.  For q up to the number of primes swept, that depends only on
-p mod q, so one table per q lists the rows dead at each class.  Its bad
-classes x (x^i = -1, 2 x^j = -1 mod q) come from Bezout: with
-g = gcd(i, j) = u i + v j they are empty or the g-th roots of
-t = (-1)^u (-1/2)^v.  Each row costs two powers of t and, when both pass,
-one call of `arith.power_roots`, whose classes are then checked.
+p mod q, so each row has a list of kill classes x mod q, and
+`arith.class_counts` applies each class to a window of integers with one
+slice and reads the surviving rows at the primes.  The classes
+(x^i = -1, 2 x^j = -1 mod q) come from Bezout: with g = gcd(i, j) = u i + v j
+they are empty or the g-th roots of t = (-1)^u (-1/2)^v.  Each row costs
+two powers of t and, when both pass, one call of `arith.power_roots`,
+whose classes are then checked.
 
 The larger primes of m, its rough part r, share one screen.  Since
 2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
@@ -41,9 +43,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
-from .arith import divisors, factorize, is_prime, odd_primes_up_to, power_roots
+from .arith import class_counts, divisors, factorize, is_prime, odd_primes_up_to, power_roots
 
 
 class NotOddPrime(ValueError):
@@ -144,27 +146,25 @@ def _bad_residues(q: int, i: int, j: int) -> list[int]:
 
 def _prime_tables(
     primes: Sequence[int], k: int
-) -> tuple[list[tuple[int, list[int]]], list[tuple[int, int, int]]]:
+) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int, int]]]:
     """The rows of k as `_survivor_counts` sweeps them over `primes`.
 
-    First, per odd prime q <= len(primes) that divides some row modulus and
-    kills a row at some class mod q, the pair (q, table): table[r] has bit i
-    set for each row i whose gcd q divides at every p = r mod q.  Second, the
-    rows (i, j, r) whose rough part r -- the row modulus with its primes
-    <= len(primes) divided out -- is above 1.  The q come from the odd primes
-    up to len(primes), never from `primes` itself (a sweep that skips the
-    primes of M(k) would lose every table), so both depend only on k and
-    len(primes).
+    First, per row i, its kill classes: the (x, q) with q an odd prime
+    <= len(primes) of the row modulus and x a class at which q divides the
+    row gcd at every p = x mod q.  Second, the rows (i, j, r) whose rough
+    part r -- the row modulus with its primes <= len(primes) divided out --
+    is above 1.  The q come from the odd primes up to len(primes), never
+    from `primes` itself (a sweep that skips the primes of M(k) would lose
+    every class), so both depend only on k and len(primes).
     """
     bound = len(primes)
     rows = _row_table(k)
     lcm = math.lcm(*(m for _, _, m in rows))
     rough = [m // (m & -m) for _, _, m in rows]  # row gcds are odd
-    tables = []
+    kills: list[list[tuple[int, int]]] = [[] for _ in rows]
     for q in odd_primes_up_to(bound):
         if lcm % q:
             continue
-        table = None
         for i, j, m in rows:
             if m % q:
                 continue
@@ -173,48 +173,46 @@ def _prime_tables(
             for x in _bad_residues(q, i, j):
                 if pow(x, i, q) != q - 1 or (2 * pow(x, j, q) + 1) % q:
                     raise ArithmeticError(f"k={k}, row {i}: {x} mod {q} is not bad")
-                if table is None:
-                    table = [0] * q
-                table[x] |= 1 << i
-        if table is not None:
-            tables.append((q, table))
-    return tables, [(i, j, r) for (i, j, _), r in zip(rows, rough) if r > 1]
+                kills[i].append((x, q))
+    return kills, [(i, j, r) for (i, j, _), r in zip(rows, rough) if r > 1]
 
 
-def _survivor_counts(primes: Sequence[int], k: int) -> Iterator[int]:
-    """len(_surviving_exponents(p, k)) at each p of `primes`, in order.
+def _survivor_counts(primes: Sequence[int], k: int) -> list[int]:
+    """len(_surviving_exponents(p, k)) at each p of the sorted `primes`.
 
     A row dies at p exactly when some prime q of its modulus divides both
     p^i + 1 and 2 p^j + 1.  For q <= len(primes) that depends on p mod q
-    only, so `_prime_tables` lists the dead rows per class; the count is
-    k + 1 less the rows set in the OR of table_q[p mod q].  The primes above
-    len(primes) are in the rough parts r, which share one screen: every row
-    gcd divides 2 p^k - 1, so its rough primes divide g = gcd(L, 2 p^k - 1),
-    L the lcm of the r.  A batch of primes whose product of 2 p^k - 1 mod L
-    is prime to L has g = 1 at each of its primes; in any other batch each
-    prime with g != 1 tests its rows not yet dead with gcd(r, g) in place of
-    the row modulus, which still has every rough prime of the row gcd.
+    only: `arith.class_counts` counts the rows that none of their kill
+    classes from `_prime_tables` hits.  The primes above len(primes) are in
+    the rough parts r, which share one screen: every row gcd divides
+    2 p^k - 1, so its rough primes divide g = gcd(L, 2 p^k - 1), L the lcm
+    of the r.  A batch of primes whose product of 2 p^k - 1 mod L is prime
+    to L has g = 1 at each of its primes; in any other batch each prime with
+    g != 1 tests its rows still alive with gcd(r, g) in place of the row
+    modulus, which still has every rough prime of the row gcd.
     """
-    tables, rough = _prime_tables(primes, k)
+    kills, rough = _prime_tables(primes, k)
+    groups = [classes for classes in kills if classes]
+    counts = class_counts(groups, k + 1 - len(groups), primes)
+    if not rough:
+        return counts
     lcm = math.lcm(*(r for _, _, r in rough))
-    rows = k + 1
     for start in range(0, len(primes), _SCREEN_BATCH):
         batch = primes[start : start + _SCREEN_BATCH]
-        values = [2 * pow(p, k, lcm) - 1 for p in batch] if rough else ()
+        values = [2 * pow(p, k, lcm) - 1 for p in batch]
         product = 1
         for value in values:
             product = product * value % lcm
-        screened = math.gcd(lcm, product) == 1
-        for n, p in enumerate(batch):
-            dead = 0
-            for q, table in tables:
-                dead |= table[p % q]
-            if not screened and (g := math.gcd(lcm, values[n])) != 1:
-                for i, j, r in rough:
-                    alive = not dead >> i & 1
-                    if alive and not _row_survives(p, i, j, math.gcd(r, g)):
-                        dead |= 1 << i
-            yield rows - dead.bit_count()
+        if math.gcd(lcm, product) == 1:
+            continue
+        for n, (p, value) in enumerate(zip(batch, values), start):
+            if (g := math.gcd(lcm, value)) == 1:
+                continue
+            for i, j, r in rough:
+                alive = all(p % q != x for x, q in kills[i])
+                if alive and not _row_survives(p, i, j, math.gcd(r, g)):
+                    counts[n] -= 1
+    return counts
 
 
 def count_prime_power(p: int, k: int) -> int:

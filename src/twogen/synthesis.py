@@ -17,10 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Callable
 from typing import NamedTuple
 
-from .arith import FactorizationTimeout, check_prime_bound, odd_primes_up_to
+from .arith import FactorizationTimeout, check_prime_bound, class_counts, odd_primes_up_to
 from .counting import _survivor_counts
 from .indicators import Indicator, _sort_key, reduce_power
 from .reduction import normalize_target, reduce
@@ -198,49 +197,17 @@ def synthesize(k: int, cache=None) -> CountingFormula:
     return CountingFormula(k, constant, terms, tuple(rows))
 
 
-def _evaluator(
-    formula: CountingFormula, largest: int | None = None
-) -> Callable[[int], int]:
-    """`formula.evaluate`, reducing p once per distinct prime q.
-
-    Bit j of a mask stands for term j.  Per q, each listed residue a maps
-    to the mask of the terms that have the factor X(a,q), which p = a mod q
-    sets to 0; the value is constant + len(terms) minus the terms killed.
-    When every p passed in is at most `largest`, p mod q = p for each q
-    above it, so those q share one dict, read at p itself.
-    """
-    masks: dict[int, dict[int, int]] = {}
-    above: dict[int, int] = {}
-    for j, term in enumerate(formula.terms):
-        for a, q in term.factors:
-            if largest is not None and q > largest:
-                killers = above
-            else:
-                killers = masks.setdefault(q, {})
-            killers[a] = killers.get(a, 0) | 1 << j
-    top = formula.constant + len(formula.terms)
-    per_prime = tuple(masks.items())
-
-    def value(p: int) -> int:
-        killed = above.get(p, 0)
-        for q, killers in per_prime:
-            killed |= killers.get(p % q, 0)
-        return top - killed.bit_count()
-
-    return value
-
-
 def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
-    """Compare the formula with the direct count at every odd prime <= bound."""
+    """Compare the formula with the direct count at every odd prime <= bound.
+    A term is 0 exactly at the classes a mod q of its factors X(a,q)."""
     check_prime_bound(prime_bound)
     primes = odd_primes_up_to(prime_bound)
-    evaluate = _evaluator(formula, primes[-1])
-    mismatches = []
-    for p, want in zip(primes, _survivor_counts(primes, formula.k)):
-        got = evaluate(p)
-        if got != want:
-            mismatches.append((p, got, want))
-    return FormulaCheck(formula.k, prime_bound, len(primes), tuple(mismatches))
+    values = class_counts([t.factors for t in formula.terms], formula.constant, primes)
+    counts = _survivor_counts(primes, formula.k)
+    mismatches = tuple(
+        (p, got, want) for p, got, want in zip(primes, values, counts) if got != want
+    )
+    return FormulaCheck(formula.k, prime_bound, len(primes), mismatches)
 
 
 def _residue_model(terms) -> dict[int, tuple[list[int], list[int], bool]]:

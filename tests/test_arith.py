@@ -23,11 +23,14 @@ from twogen.arith import (
     _pm1_cost,
     _pollard_pm1,
     _rho_batches,
+    _WINDOW,
     _stage1_powers,
+    class_counts,
     divisors,
     factorize,
     is_prime,
     mod_inverse,
+    odd_primes_up_to,
     power_roots,
     primes_up_to,
     primitive_root,
@@ -68,6 +71,62 @@ def test_is_prime_agrees_with_sieve():
     sieve = set(primes_up_to(5000))
     for n in range(5000):
         assert is_prime(n) == (n in sieve)
+
+
+def test_odd_primes_are_the_primes_without_2():
+    for n in range(1001):
+        assert odd_primes_up_to(n) == [p for p in primes_up_to(n) if p != 2], n
+
+
+def _class_counts_plain(groups, constant, numbers):
+    """`class_counts` number by number."""
+    return [
+        constant + sum(all(n % q != a % q for a, q in group) for group in groups)
+        for n in numbers
+    ]
+
+
+_CLASSES = st.tuples(st.integers(0, 3 * _WINDOW), st.integers(2, 3 * _WINDOW))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(_CLASSES, max_size=4), max_size=6),
+    st.integers(0, 300),
+    st.lists(st.integers(0, 4 * _WINDOW), min_size=1, max_size=40),
+)
+def test_class_counts_match_a_plain_count(groups, constant, numbers):
+    numbers.sort()
+    assert class_counts(groups, constant, numbers) == _class_counts_plain(
+        groups, constant, numbers
+    )
+
+
+def test_class_counts_at_window_edges():
+    # Every number next to the first three window edges, against classes
+    # that start, end or step over a window.
+    edges = (0, _WINDOW, 2 * _WINDOW)
+    numbers = [e + d for e in edges for d in (-2, -1, 0, 1) if e + d >= 0]
+    groups = [
+        [(0, 2)],
+        [(_WINDOW - 1, _WINDOW)],
+        [(1, 3), (2, 5)],
+        [(_WINDOW, _WINDOW + 1)],
+        [(2 * _WINDOW - 1, 3 * _WINDOW)],
+        [(5, 7), (0, 11), (_WINDOW + 1, 2 * _WINDOW + 3)],
+    ]
+    assert class_counts(groups, 4, numbers) == _class_counts_plain(groups, 4, numbers)
+
+
+@pytest.mark.parametrize("size", [255, 256, 300, 65_535, 65_536])
+def test_class_counts_digits_do_not_carry(size):
+    # `size` groups, each but the last hit at 2 mod 5 and the last at 0:
+    # counts near the top of a byte and of two bytes, which must not carry
+    # into a neighbour.
+    groups = [[(2, 5)]] * (size - 1) + [[(0, 5)]]
+    numbers = [1, 2, 3, 5, _WINDOW + 3]
+    want = [7 + size, 8, 7 + size, 6 + size, 7 + size]
+    assert class_counts(groups, 7, numbers) == want
 
 
 def test_is_prime_agrees_with_sieve_below_2e6():

@@ -15,6 +15,7 @@ from twogen import cli
 from twogen import modulus as modulus_mod
 from twogen import synthesis as synthesis_mod
 from twogen.arith import FactorizationTimeout, factorize
+from twogen.factor_cache import FactorCache
 from twogen.semigroup import count_two_generator, enumerate_by_genus
 from twogen.synthesis import FormulaCheck, SynthesisBlocked
 
@@ -488,6 +489,28 @@ def test_cache_file_persisted(capsys, tmp_path):
     code = cli.main(["modulus", "--k", "7", "--factor-cache", str(path)])
     capsys.readouterr()
     assert path.read_text() == text
+
+
+def test_blocked_command_keeps_what_it_factored(capsys, tmp_path, monkeypatch):
+    # verify-dependence factors the row moduli of k = 9 in increasing order,
+    # 3, 5, 17, 33, 129 and 257, and stops at the first that times out.
+    factored = []
+
+    def blocked(n, cache=None, **kwargs):
+        if n == 257:
+            raise FactorizationTimeout(n, n)
+        if n not in cache:
+            factored.append(n)
+        return factorize(n, cache, **kwargs)
+
+    monkeypatch.setattr(modulus_mod, "factorize", blocked)
+    path = tmp_path / "factors.txt"
+    for _ in range(2):
+        code, out, err = run(capsys, tmp_path, "verify-dependence", "--k", "9")
+        assert (code, out) == (3, "")
+        assert err == "error: could not factor 257: budget exhausted on cofactor 257\n"
+        assert FactorCache.load(path).values() == [3, 5, 17, 33, 129]
+    assert factored == [3, 5, 17, 33, 129]  # all in the first run
 
 
 # (argv, the schema of the payload with exactly its keys, some expected values)

@@ -184,14 +184,15 @@ def _dependence_primes(k: int) -> list[int]:
 
 
 def _table_primes(primes, k: int) -> list[int]:
-    """The primes q that `_survivor_counts` tabulates when it sweeps `primes`."""
-    return [q for q, _ in _prime_tables(primes, k)[0]]
+    """The primes q of the kill classes `_survivor_counts` applies when it
+    sweeps `primes`."""
+    return sorted({q for classes in _prime_tables(primes, k)[0] for _, q in classes})
 
 
 def test_the_table_boundary_cases_straddle_a_row_modulus():
-    # The row of modulus 127 = 2^7 - 1 is prime, and 127 has a table at
+    # The row of modulus 127 = 2^7 - 1 is prime, and 127 has kill classes at
     # k = 12: `_survivor_counts` screens the row in the rough part of a list
-    # of 126 primes, and tabulates it for a list of 127.
+    # of 126 primes, and applies its classes for a list of 127.
     assert (7, 5, 127) in _row_table(12)
 
 
@@ -230,18 +231,15 @@ def test_bad_residues_match_a_scan_of_both_congruences():
 
 
 def test_tables_list_the_factors_of_the_derived_rows():
-    # Row by row, with no sampling: the classes at which a table prime kills
-    # a row are the factors X(a,q) the derivation lists for it.
+    # Row by row, with no sampling: the kill classes of a row are the
+    # factors X(a,q) with q <= len(primes) the derivation lists for it.
     primes = odd_primes_up_to(200_000)
     assert len(primes) == 17_983
     cache = FactorCache()
     for k in range(1, 61):
-        killed = {i: set() for i in range(k + 1)}
-        for q, table in _prime_tables(primes, k)[0]:
-            for x in filter(table.__getitem__, range(q)):
-                for i in range(k + 1):
-                    if table[x] >> i & 1:
-                        killed[i].add((x, q))
+        kills = _prime_tables(primes, k)[0]
+        killed = {i: set(classes) for i, classes in enumerate(kills)}
+        assert all(len(set(classes)) == len(classes) for classes in kills), k
         derived = {i: set() for i in range(k + 1)}
         for row in synthesize(k, cache).rows:
             derived[row.i] = {(a, q) for a, q in row.factors if q <= len(primes)}
@@ -296,7 +294,7 @@ def test_bad_residues_match_sympy_at_large_row_primes():
 
 def test_tables_do_not_depend_on_the_primes_swept():
     # `dependence_check` sweeps only primes that do not divide M(k), so the
-    # primes it tabulates must not come from the swept list.
+    # primes of its kill classes must not come from the swept list.
     for k in (9, 60):
         swept = _dependence_primes(k)
         plain = _PRIMES[: len(swept)]
@@ -329,6 +327,13 @@ def _rough_hits(k: int) -> list[int]:
     return hits
 
 
+# The odd primes within 500 of 0, 2^16 and 2^17: a sweep of 267 primes,
+# with the kill classes of every q <= 263, that crosses two window edges.
+_WINDOW_EDGE_PRIMES = [
+    p for p in odd_primes_up_to(131_572) if min(p % 65_536, -p % 65_536) <= 500
+]
+
+
 @pytest.mark.parametrize(
     "ks, primes_of",
     [
@@ -344,6 +349,13 @@ def _rough_hits(k: int) -> list[int]:
         pytest.param([12], lambda k: _PRIMES[-88:], id="below a prime table"),
         pytest.param([12], lambda k: _PRIMES[-89:], id="at a prime table"),
         pytest.param(range(2, 10), _dependence_primes, id="dependence"),
+        # the first and last primes of the windows of `arith.class_counts`
+        pytest.param(
+            [9, 30, 60], lambda k: [65521, 65537, 131071, 131101], id="window edges"
+        ),
+        pytest.param([9, 30, 60], lambda k: _WINDOW_EDGE_PRIMES, id="across windows"),
+        # k + 1 > 255 rows: counts above what one byte holds
+        pytest.param([300], lambda k: odd_primes_up_to(3_000), id="k = 300"),
     ],
 )
 def test_surviving_exponents_match_the_plain_gcds(ks, primes_of):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twogen import arith
 from twogen import indicators as indicators_mod
-from twogen.arith import FactorizationTimeout, odd_primes_up_to
+from twogen.arith import FactorizationTimeout, class_counts, odd_primes_up_to
 from twogen.counting import _surviving_exponents, count_prime_power
 from twogen.factor_cache import FactorCache
 from twogen.indicators import Indicator
@@ -21,7 +21,6 @@ from twogen.synthesis import (
     ProductTerm,
     SynthesisBlocked,
     _case_table_cells,
-    _evaluator,
     _grouped,
     minimal_modulus,
     render,
@@ -329,18 +328,23 @@ def test_minimal_modulus_matches_residue_scan(formula):
     assert minimal_modulus(formula) == _minimal_modulus_brute(formula)
 
 
-def test_evaluator_matches_evaluate_on_derived_formulas():
+def _class_values(formula: CountingFormula, numbers) -> list[int]:
+    """`formula.evaluate` at each of the sorted `numbers`, as `verify_formula`
+    takes it: one kill class per factor X(a,q) of a term."""
+    return class_counts([t.factors for t in formula.terms], formula.constant, numbers)
+
+
+def test_class_counts_match_evaluate_on_derived_formulas():
     primes = arith.odd_primes_up_to(10_000)
     for k in range(1, 41):
         formula = synthesize(k)
-        evaluate = _evaluator(formula)
-        assert [evaluate(p) for p in primes] == [formula.evaluate(p) for p in primes]
+        assert _class_values(formula, primes) == [formula.evaluate(p) for p in primes]
 
 
-def test_evaluator_reads_the_primes_above_the_sweep_at_p():
-    # verify_formula passes the largest swept prime, so every q above it
-    # is read from one dict at p itself.  The mutant moves the residue of
-    # one such q onto a swept prime where its term was 1.
+def test_class_counts_read_the_classes_above_the_sweep():
+    # Every q above the largest swept prime hits at most one swept integer,
+    # its class a itself.  The mutant moves the residue of one such q onto a
+    # swept prime where its term was 1.
     primes = arith.odd_primes_up_to(200_000)
     largest = primes[-1]
     for k in (30, 60):
@@ -358,8 +362,10 @@ def test_evaluator_reads_the_primes_above_the_sweep_at_p():
         mutant = CountingFormula(k, formula.constant, tuple(terms))
         assert mutant.evaluate(p0) == formula.evaluate(p0) - 1
         for f in (formula, mutant):
-            evaluate = _evaluator(f, largest)
-            assert [evaluate(p) for p in primes] == [f.evaluate(p) for p in primes]
+            assert _class_values(f, primes) == [f.evaluate(p) for p in primes]
+        assert (p0, mutant.evaluate(p0), formula.evaluate(p0)) in (
+            verify_formula(mutant, largest).mismatches
+        )
 
 
 @st.composite
@@ -377,11 +383,10 @@ def formulas_with_repeats(draw):
 @given(formulas_with_repeats())
 # a repeated term, and X(0,7), which only n = 0 mod 7 kills
 @example(_formula(1, [(0, 7), (2, 3)], [(0, 7), (2, 3)], [(1, 2)], [(0, 7)]))
-def test_evaluator_matches_evaluate_on_random_formulas(formula):
-    evaluate = _evaluator(formula)
-    # -210..209 meets every class mod 2*3*5*7 twice, negatives included
-    for n in range(-210, 210):
-        assert evaluate(n) == formula.evaluate(n)
+def test_class_counts_match_evaluate_on_random_formulas(formula):
+    # 1..420 meets every class mod 2*3*5*7 twice
+    numbers = range(1, 421)
+    assert _class_values(formula, numbers) == [formula.evaluate(n) for n in numbers]
 
 
 def test_render_flat():
