@@ -199,9 +199,16 @@ def primes_up_to(n: int) -> list[int]:
     return list(itertools.compress(range(n + 1), _prime_flags(n)))
 
 
+def iter_odd_primes(n: int) -> Iterator[int]:
+    """The odd primes <= n in increasing order, read lazily off the sieve."""
+    if n < 3:
+        return iter(())
+    return itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])
+
+
 def odd_primes_up_to(n: int) -> list[int]:
     """All odd primes <= n."""
-    return primes_up_to(n)[1:]
+    return list(iter_odd_primes(n))
 
 
 # Integers per window of `class_counts`: each group costs one bytearray and

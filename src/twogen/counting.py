@@ -20,16 +20,23 @@ the reduction it checks, which derives the same constant on its own.
 
 A sweep over many primes reads the rows prime by prime of m instead: the
 row gcd is 1 exactly when no prime q of m divides both p^i + 1 and
-2 p^j + 1.  For q up to the number of primes swept, that depends only on
-p mod q, so each row has a list of kill classes x mod q, and
-`arith.class_counts` applies each class to a window of integers with one
-slice and reads the surviving rows at the primes.  The classes
+2 p^j + 1.  For each q the sweep names, that depends only on p mod q, so
+each row has a list of kill classes x mod q, and `arith.class_counts`
+applies each class to a window of integers with one slice and reads the
+surviving rows at the primes.  The sweep names q by trial division up to
+the largest swept prime and, as soon as `arith.is_prime` proves it prime
+(it is exact below 3.317e24, Sorenson and Webster 2017), by the cofactor
+left of a row; a cofactor above every swept prime can only hit p = x.
+The classes
 (x^i = -1, 2 x^j = -1 mod q) come from Bezout: with g = gcd(i, j) = u i + v j
 they are empty or the g-th roots of t = (-1)^u (-1/2)^v.  Each row costs
 two powers of t and, when both pass, one call of `arith.power_roots`,
 whose classes are then checked.
 
-The larger primes of m, its rough part r, share one screen.  Since
+What neither way names, the rough part r of m -- a composite of primes
+above the largest swept prime, or a prime too large to prove -- shares one
+screen with the other rows' rough parts.  Over the odd primes up to 2*10^5
+no row keeps one at any k <= 52.  Since
 2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
 2 p^k - 1; with L the lcm of the rough parts, a prime with
 gcd(L, 2 p^k - 1) = 1 keeps every rough part at once, and one gcd of L with
@@ -45,7 +52,15 @@ import functools
 import math
 from collections.abc import Sequence
 
-from .arith import class_counts, divisors, factorize, is_prime, odd_primes_up_to, power_roots
+from .arith import (
+    _MR_DETERMINISTIC_BELOW,
+    class_counts,
+    divisors,
+    factorize,
+    is_prime,
+    iter_odd_primes,
+    power_roots,
+)
 
 
 class NotOddPrime(ValueError):
@@ -149,31 +164,50 @@ def _prime_tables(
 ) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int, int]]]:
     """The rows of k as `_survivor_counts` sweeps them over `primes`.
 
-    First, per row i, its kill classes: the (x, q) with q an odd prime
-    <= len(primes) of the row modulus and x a class at which q divides the
-    row gcd at every p = x mod q.  Second, the rows (i, j, r) whose rough
-    part r -- the row modulus with its primes <= len(primes) divided out --
-    is above 1.  The q come from the odd primes up to len(primes), never
-    from `primes` itself (a sweep that skips the primes of M(k) would lose
-    every class), so both depend only on k and len(primes).
+    First, per row i, its kill classes: the (x, q) with q an odd prime of
+    the row modulus and x a class at which q divides the row gcd at every
+    p = x mod q, in increasing q.  The q are named two ways: by trial
+    division of the odd parts of the row moduli by the odd primes up to the
+    largest swept prime, which stops once nothing is left to divide; and as
+    a cofactor, what is left of a row's odd part, as soon as `is_prime`
+    proves it prime (it is exact below `_MR_DETERMINISTIC_BELOW`).  A
+    cofactor above the largest swept prime can only hit p = x.  Second, the
+    rows (i, j, r) whose rough part r -- what neither way names: a
+    composite of primes above primes[-1], or a prime too large to prove --
+    is above 1.  The q come from the sieve, never from `primes` itself (a
+    sweep that skips the primes of M(k) would lose every class), so both
+    depend only on k and primes[-1].
     """
-    bound = len(primes)
     rows = _row_table(k)
-    lcm = math.lcm(*(m for _, _, m in rows))
     rough = [m // (m & -m) for _, _, m in rows]  # row gcds are odd
     kills: list[list[tuple[int, int]]] = [[] for _ in rows]
-    for q in odd_primes_up_to(bound):
-        if lcm % q:
+
+    def name(q: int, i: int, j: int) -> None:
+        for x in _bad_residues(q, i, j):
+            if pow(x, i, q) != q - 1 or (2 * pow(x, j, q) + 1) % q:
+                raise ArithmeticError(f"k={k}, row {i}: {x} mod {q} is not bad")
+            kills[i].append((x, q))
+
+    def prove(i: int, j: int) -> None:
+        if 1 < rough[i] < _MR_DETERMINISTIC_BELOW and is_prime(rough[i]):
+            name(rough[i], i, j)
+            rough[i] = 1
+
+    for i, j, _ in rows:
+        prove(i, j)
+    left = math.prod(set(rough))
+    for q in iter_odd_primes(primes[-1] if primes else 0):
+        if left == 1:
+            break
+        if left % q:
             continue
-        for i, j, m in rows:
-            if m % q:
-                continue
-            while rough[i] % q == 0:
-                rough[i] //= q
-            for x in _bad_residues(q, i, j):
-                if pow(x, i, q) != q - 1 or (2 * pow(x, j, q) + 1) % q:
-                    raise ArithmeticError(f"k={k}, row {i}: {x} mod {q} is not bad")
-                kills[i].append((x, q))
+        for i, j, _ in rows:
+            if rough[i] % q == 0:
+                while rough[i] % q == 0:
+                    rough[i] //= q
+                name(q, i, j)
+                prove(i, j)
+        left = math.prod(set(rough))
     return kills, [(i, j, r) for (i, j, _), r in zip(rows, rough) if r > 1]
 
 
@@ -181,15 +215,16 @@ def _survivor_counts(primes: Sequence[int], k: int) -> list[int]:
     """len(_surviving_exponents(p, k)) at each p of the sorted `primes`.
 
     A row dies at p exactly when some prime q of its modulus divides both
-    p^i + 1 and 2 p^j + 1.  For q <= len(primes) that depends on p mod q
-    only: `arith.class_counts` counts the rows that none of their kill
-    classes from `_prime_tables` hits.  The primes above len(primes) are in
-    the rough parts r, which share one screen: every row gcd divides
-    2 p^k - 1, so its rough primes divide g = gcd(L, 2 p^k - 1), L the lcm
-    of the r.  A batch of primes whose product of 2 p^k - 1 mod L is prime
-    to L has g = 1 at each of its primes; in any other batch each prime with
-    g != 1 tests its rows still alive with gcd(r, g) in place of the row
-    modulus, which still has every rough prime of the row gcd.
+    p^i + 1 and 2 p^j + 1.  For the q that `_prime_tables` names, that
+    depends on p mod q only: `arith.class_counts` counts the rows that none
+    of their kill classes hits.  The primes it cannot name are in the rough
+    parts r, which share one screen: every row gcd divides 2 p^k - 1, so
+    its rough primes divide g = gcd(L, 2 p^k - 1), L the lcm of the r.  A
+    batch of primes whose product of 2 p^k - 1 mod L is prime to L has
+    g = 1 at each of its primes; in any other batch each prime with g != 1
+    tests its rows still alive with gcd(r, g) in place of the row modulus,
+    which still has every rough prime of the row gcd.  At the primes up to
+    2*10^5 no rough part is left for any k <= 52.
     """
     kills, rough = _prime_tables(primes, k)
     groups = [classes for classes in kills if classes]

@@ -92,7 +92,7 @@ def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     for m in _row_moduli(k)[1]:
         support.update(p for p, _ in factorize(m, cache).factors)
     m = math.prod(support)
-    primes = [p for p in odd_primes_up_to(prime_bound) if m % p]
+    primes = [p for p in odd_primes_up_to(prime_bound) if p not in support]
     if not primes:
         raise ValueError(
             f"no odd prime <= {prime_bound} is prime to M({k}) = {m}"

@@ -29,6 +29,7 @@ from twogen.arith import (
     divisors,
     factorize,
     is_prime,
+    iter_odd_primes,
     mod_inverse,
     odd_primes_up_to,
     power_roots,
@@ -76,6 +77,13 @@ def test_is_prime_agrees_with_sieve():
 def test_odd_primes_are_the_primes_without_2():
     for n in range(1001):
         assert odd_primes_up_to(n) == [p for p in primes_up_to(n) if p != 2], n
+
+
+def test_iter_odd_primes_reads_the_odd_primes_lazily():
+    for n in range(-1, 1001):
+        primes = iter_odd_primes(n)
+        assert not isinstance(primes, list)
+        assert list(primes) == [p for p in primes_up_to(n) if p != 2], n
 
 
 def _class_counts_plain(groups, constant, numbers):

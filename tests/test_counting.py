@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twogen.arith import factorize, odd_primes_up_to
+from twogen.arith import _MR_DETERMINISTIC_BELOW, factorize, is_prime, odd_primes_up_to
 from twogen.factor_cache import FactorCache
 from twogen.counting import (
     NotOddPrime,
@@ -191,16 +191,34 @@ def _table_primes(primes, k: int) -> list[int]:
 
 def test_the_table_boundary_cases_straddle_a_row_modulus():
     # The row of modulus 127 = 2^7 - 1 is prime, and 127 has kill classes at
-    # k = 12: `_survivor_counts` screens the row in the rough part of a list
-    # of 126 primes, and applies its classes for a list of 127.
+    # k = 12: a sweep whose last prime is 113 names it as a proven cofactor,
+    # one whose last prime is 127 by trial division.
     assert (7, 5, 127) in _row_table(12)
 
 
 def test_the_prime_table_cases_straddle_a_table():
-    assert 89 not in _table_primes(_PRIMES[-88:], 12)
-    assert 89 in _table_primes(_PRIMES[-89:], 12)
-    assert 127 not in _table_primes(_PRIMES[-126:], 12)
-    assert 127 in _table_primes(_PRIMES[-127:], 12)
+    # k = 12: row 11 has modulus 2047 = 23 * 89.  Below 23 the row is left
+    # whole, a composite rough part; from 23 on, its cofactor 89 is proven
+    # prime, so a sweep that ends below 89 (or 127) names the same classes
+    # as one that ends at it.
+    assert (11, 1, 2047) in _prime_tables(odd_primes_up_to(19), 12)[1]
+    assert not {23, 89} & set(_table_primes(odd_primes_up_to(19), 12))
+    assert math.gcd(2047, 2 * 11**12 - 1) == 23  # p = 11 fails the screen
+    tables = _prime_tables(odd_primes_up_to(23), 12)
+    assert tables[1] == []
+    assert {23, 89, 127} <= set(_table_primes(odd_primes_up_to(23), 12))
+    for last in (83, 89, 113, 127, 20_000):
+        assert _prime_tables(odd_primes_up_to(last), 12) == tables, last
+    # k = 20: row 13 has the prime modulus 8191, above the last prime 8179
+    # of the sweep, and its class 6143 mod 8191 hits the swept prime 6143.
+    assert (6143, 8191) in _prime_tables(_BELOW_8191, 20)[0][13]
+    assert 6143 in _BELOW_8191
+
+
+# The odd primes below 2^13 - 1 and 2^17 - 1, the prime moduli of row 13 at
+# k = 20 and of row 17 at k = 30.
+_BELOW_8191 = odd_primes_up_to(8190)
+_BELOW_131071 = odd_primes_up_to(131_070)
 
 
 def _bad_residues_scan(q: int, top: int) -> dict[tuple[int, int], list[int]]:
@@ -232,18 +250,39 @@ def test_bad_residues_match_a_scan_of_both_congruences():
 
 def test_tables_list_the_factors_of_the_derived_rows():
     # Row by row, with no sampling: the kill classes of a row are the
-    # factors X(a,q) with q <= len(primes) the derivation lists for it.
+    # factors X(a,q) the derivation lists for it, at every k <= 60 but the
+    # five whose rough parts keep a composite of two primes above 2*10^5.
+    # There, a row's kill classes are those of its other primes.
     primes = odd_primes_up_to(200_000)
     assert len(primes) == 17_983
     cache = FactorCache()
+    rough_ks = []
     for k in range(1, 61):
-        kills = _prime_tables(primes, k)[0]
+        kills, rough = _prime_tables(primes, k)
         killed = {i: set(classes) for i, classes in enumerate(kills)}
         assert all(len(set(classes)) == len(classes) for classes in kills), k
         derived = {i: set() for i in range(k + 1)}
         for row in synthesize(k, cache).rows:
-            derived[row.i] = {(a, q) for a, q in row.factors if q <= len(primes)}
+            derived[row.i] = set(row.factors)
+        for i, _, r in rough:
+            assert not is_prime(r), (k, i)
+            derived[i] = {(a, q) for a, q in derived[i] if r % q}
         assert killed == derived, k
+        if rough:
+            rough_ks.append(k)
+    assert rough_ks == [53, 55, 57, 58, 59]
+
+
+def test_no_rough_part_is_left_up_to_k_52():
+    # Trial division to the last prime and the proven cofactors name every
+    # row prime, so `_survivor_counts` runs no screen at these k.
+    primes = odd_primes_up_to(200_000)
+    for k in [*range(1, 53), 54, 56, 60]:
+        assert _prime_tables(primes, k)[1] == [], k
+    # 2^89 - 1, a prime of 27 digits above the bound of the proven
+    # Miller-Rabin bases, stays in the screen.
+    assert (89, 1, 2**89 - 1) in _prime_tables(primes, 90)[1]
+    assert 2**89 - 1 > _MR_DETERMINISTIC_BELOW
 
 
 _ROW_PRIME_CACHE = FactorCache()
@@ -318,9 +357,9 @@ def _screen_hits(k: int) -> list[int]:
 def _rough_hits(k: int) -> list[int]:
     """The primes p of `_PRIMES` with gcd(L, 2 p^k - 1) != 1, L the lcm of
     the rough parts of a sweep of `_PRIMES`: the primes at which
-    `_survivor_counts` tests its rough parts one by one.  A shorter list
-    divides fewer primes out of each rough part, so these primes stay in the
-    fallback when swept on their own."""
+    `_survivor_counts` tests its rough parts one by one.  A list that ends
+    lower divides fewer primes out of each rough part, so these primes stay
+    in the fallback when swept on their own."""
     lcm = math.lcm(*(r for _, _, r in _prime_tables(_PRIMES, k)[1]))
     hits = [p for p in _PRIMES if math.gcd(lcm, 2 * pow(p, k, lcm) - 1) != 1]
     assert hits
@@ -339,15 +378,23 @@ _WINDOW_EDGE_PRIMES = [
     [
         pytest.param([*range(1, 13), 30, 60], lambda k: _PRIMES, id="sweep"),
         pytest.param([60], _screen_hits, id="screen hits"),
-        pytest.param([30, 60, 120], _rough_hits, id="rough screen hits"),
+        pytest.param([58, 61, 120, 128], _rough_hits, id="rough screen hits"),
         pytest.param([60], lambda k: [127, 8191, 131071], id="row-modulus primes"),
         pytest.param([90, 120, 128], lambda k: _PRIMES[-300:], id="large k"),
         pytest.param(range(1, 13), lambda k: _PRIMES[-1:], id="one prime"),
         pytest.param(range(1, 13), lambda k: _PRIMES[-2:], id="two primes"),
-        pytest.param([12], lambda k: _PRIMES[-126:], id="below a table"),
-        pytest.param([12], lambda k: _PRIMES[-127:], id="at a table"),
-        pytest.param([12], lambda k: _PRIMES[-88:], id="below a prime table"),
-        pytest.param([12], lambda k: _PRIMES[-89:], id="at a prime table"),
+        pytest.param([12], lambda k: odd_primes_up_to(113), id="below a table"),
+        pytest.param([12], lambda k: odd_primes_up_to(127), id="at a table"),
+        pytest.param([12], lambda k: odd_primes_up_to(83), id="below a prime table"),
+        pytest.param([12], lambda k: odd_primes_up_to(89), id="at a prime table"),
+        # 2047 = 23 * 89 left whole in the screen, which p = 11 fails
+        pytest.param([12], lambda k: odd_primes_up_to(19), id="composite cofactor"),
+        pytest.param([20], lambda k: _BELOW_8191, id="cofactor class hit"),
+        pytest.param([30], lambda k: _BELOW_131071, id="cofactor above the sweep"),
+        # row 89 of k = 90 keeps the prime 2^89 - 1 above the proven bound
+        pytest.param(
+            [90], lambda k: odd_primes_up_to(200_000)[-300:], id="unproven prime cofactor"
+        ),
         pytest.param(range(2, 10), _dependence_primes, id="dependence"),
         # the first and last primes of the windows of `arith.class_counts`
         pytest.param(

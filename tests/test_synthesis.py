@@ -90,8 +90,10 @@ def test_verify_formula():
 
 
 def test_verify_large_formulas():
-    # The largest derived formulas against the direct count, whose rough
-    # parts `_survivor_counts` screens with one gcd per batch of primes.
+    # The largest derived formulas against the direct count.  Their rough
+    # parts -- composites of primes above 2*10^4, and primes above the bound
+    # of the proven Miller-Rabin bases -- `_survivor_counts` screens with
+    # one gcd per batch of primes.
     for k in (90, 120, 128):
         assert verify_formula(synthesize(k), 20_000).ok, k
 
