@@ -17,13 +17,10 @@ _EXPORTS = {
     "arith": (
         "Factorization",
         "FactorizationTimeout",
-        "NotInvertible",
         "divisors",
         "factorize",
         "is_prime",
-        "mod_inverse",
         "primitive_root",
-        "radical",
     ),
     "counting": (
         "NotOddPrime",

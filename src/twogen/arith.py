@@ -1,17 +1,17 @@
-"""Integer kernel: modular helpers and roots, primality, factorization, radicals.
+"""Integer kernel: modular helpers and roots, primality, factorization.
 
 Everything works on Python's arbitrary-precision ints.  Primality is
 deterministic below ~3.3e24 (Miller-Rabin, fewest proven bases) and
-probabilistic above (40 extra rounds, error < 4**-40).  Factorization runs
-trial division up to a fixed bound, then hunts each composite cofactor in
-three steps under one iteration budget: a short slice of Pollard rho with
-Brent's cycle detection, which wins on small factors; Pollard's p-1
-(1974), stage 1 to PM1_B1 and a baby-step giant-step stage 2 to PM1_B2;
-and the same rho hunt resumed with the budget left.  Every modular
-squaring or multiplication of every stage is charged to the budget, and
-exhausting it raises FactorizationTimeout instead of hanging, so a known
-factorization can be supplied through a cache (see factor_cache) as the
-escape hatch.
+probabilistic above (40 extra rounds, error < 4**-40).  Factorization
+strips the small primes with one gcd with the product of the primes below
+10^4, then hunts each composite cofactor in three steps under one
+iteration budget: a short slice of Pollard rho with Brent's cycle
+detection, which wins on small factors; Pollard's p-1 (1974), stage 1 to
+PM1_B1 and a baby-step giant-step stage 2 to PM1_B2; and the same rho hunt
+resumed with the budget left.  Every modular squaring or multiplication of
+every stage is charged to the budget, and exhausting it raises
+FactorizationTimeout instead of hanging, so a known factorization can be
+supplied through a cache (see factor_cache) as the escape hatch.
 
 Every large number this package factors is 2^m - 1 or 2^m + 1, so
 factorize recognises that form and uses the algebra of the Cunningham
@@ -72,10 +72,6 @@ _MR_DETERMINISTIC_BELOW = _MR_PSI[-1]
 _MR_EXTRA_ROUNDS = 40
 
 
-class NotInvertible(ValueError):
-    """The residue shares a factor with the modulus."""
-
-
 class FactorizationTimeout(RuntimeError):
     """The factoring budget ran out; carries the stubborn cofactor, when
     known the iterations spent on n before giving up, and the last stage
@@ -132,16 +128,6 @@ def check_prime_bound(prime_bound: int) -> None:
     """A sweep over the odd primes <= prime_bound needs at least one."""
     if prime_bound < 3:
         raise ValueError(f"prime_bound must be >= 3, got {prime_bound}")
-
-
-def mod_inverse(a: int, modulus: int) -> int:
-    """Residue b with a*b == 1 mod modulus; NotInvertible if gcd(a, modulus) > 1."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    try:
-        return pow(a, -1, modulus)
-    except ValueError:
-        raise NotInvertible(f"{a} is not invertible mod {modulus}") from None
 
 
 def is_prime(n: int) -> bool:
@@ -499,17 +485,26 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
     return [(d, piece) for d, piece in pieces if piece > 1]
 
 
-def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> Factorization:
-    """Factor n >= 1 by trial division, then rho, p-1 and rho again on
-    each composite cofactor (see _split).
+@functools.cache
+def _small_prime_product() -> int:
+    """The product of the odd primes up to TRIAL_DIVISION_BOUND, built on
+    the first call."""
+    return math.prod(iter_odd_primes(TRIAL_DIVISION_BOUND))
 
-    When n = 2^j - 1 or 2^j + 1, the cofactor left by trial division is
-    first split along the cyclotomic and Aurifeuillian pieces of n, and
-    each piece is hunted with the rho map and p-1 exponent matching its
-    primes' congruence.  Consults and updates `cache` (a
-    factor_cache.FactorCache) when given; only n itself is stored, never a
-    piece.  Raises FactorizationTimeout once `max_iterations` modular
-    squarings and multiplications are spent.
+
+def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> Factorization:
+    """Factor n >= 1: the odd primes up to TRIAL_DIVISION_BOUND come out
+    by one gcd with their product, then rho, p-1 and rho again run on each
+    composite cofactor (see _split).
+
+    The primes of the gcd are read off by the odd d in increasing order,
+    up to the root of what is left of it.  When n = 2^j - 1 or 2^j + 1, the
+    cofactor left by the gcd is first split along the cyclotomic and
+    Aurifeuillian pieces of n, and each piece is hunted with the rho map
+    and p-1 exponent matching its primes' congruence.  Consults and updates
+    `cache` (a factor_cache.FactorCache) when given; only n itself is
+    stored, never a piece.  Raises FactorizationTimeout once
+    `max_iterations` modular squarings and multiplications are spent.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -522,12 +517,23 @@ def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> F
     while m % 2 == 0:
         counts[2] = counts.get(2, 0) + 1
         m //= 2
+    g = math.gcd(m, _small_prime_product())
+    # g is square-free, so once the primes below an odd d are out of it, d
+    # divides it only if d is prime; what is left above the root of g is 1
+    # or a prime.
+    found = []
     d = 3
-    while d <= TRIAL_DIVISION_BOUND and d * d <= m:
+    while d * d <= g:
+        if g % d == 0:
+            found.append(d)
+            g //= d
+        d += 2
+    if g > 1:
+        found.append(g)
+    for d in found:
         while m % d == 0:
             counts[d] = counts.get(d, 0) + 1
             m //= d
-        d += 2
     # Each pending entry carries the exponent e of its rho map: lcm(2, d)
     # inside a piece for d, 2 for whatever no piece covers.
     pending = []
@@ -558,14 +564,6 @@ def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> F
     result = Factorization(n, tuple(sorted(counts.items())))
     if cache is not None:
         cache.put(result)
-    return result
-
-
-def radical(n: int, cache=None) -> int:
-    """Largest square-free divisor of n (product of its distinct primes)."""
-    result = 1
-    for p, _ in factorize(n, cache).factors:
-        result *= p
     return result
 
 

@@ -1,5 +1,10 @@
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,6 @@ from twogen.arith import (
     _MR_WITNESSES,
     FactorizationTimeout,
     Factorization,
-    NotInvertible,
     _advance,
     _cyclotomic_pieces,
     _perfect_power,
@@ -30,34 +34,11 @@ from twogen.arith import (
     factorize,
     is_prime,
     iter_odd_primes,
-    mod_inverse,
     odd_primes_up_to,
     power_roots,
     primes_up_to,
     primitive_root,
-    radical,
 )
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(2, 33) == 17
-    assert mod_inverse(1, 5) == 1
-    with pytest.raises(NotInvertible):
-        mod_inverse(3, 6)
-
-
-def test_mod_inverse_random_pairs():
-    import math
-
-    rng = random.Random(20260810)
-    checked = 0
-    while checked < 10_000:
-        m = rng.randrange(2, 10**9)
-        a = rng.randrange(1, m)
-        if math.gcd(a, m) != 1:
-            continue
-        assert mod_inverse(a, m) * a % m == 1
-        checked += 1
 
 
 def test_is_prime_examples():
@@ -239,7 +220,7 @@ def _factorize_plain(n: int) -> tuple[tuple[int, int], ...]:
     x^2 + c with no cyclotomic split."""
     counts: dict[int, int] = {}
     m = n
-    for d in [2] + list(range(3, TRIAL_DIVISION_BOUND + 1, 2)):
+    for d in itertools.chain([2], range(3, TRIAL_DIVISION_BOUND + 1, 2)):
         if d * d > m:
             break
         while m % d == 0:
@@ -484,6 +465,68 @@ def test_factorize_with_pm1_before_rho_matches_plain_oracle(monkeypatch):
             assert factorize(n).factors == _factorize_plain(n), n
 
 
+def test_small_prime_gcd_matches_trial_division_up_to_2e4():
+    for n in range(1, 20_001):
+        assert factorize(n).factors == _factorize_plain(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3 * 8191,  # a prime above the root of n, left in g after 3
+        9967 * 9973,  # two primes near the bound: the walk reaches 9967
+        3 * 9973**2,
+        9973**3,
+        9973,  # the largest prime below the bound
+        10007,  # the least prime above it
+        3 * 10007,
+        2**5 * 3**4 * 5**3 * 7**2,
+        math.prod(odd_primes_up_to(TRIAL_DIVISION_BOUND)) * 10007,
+    ],
+    ids=["3*8191", "9967*9973", "3*9973^2", "9973^3", "9973", "10007", "3*10007",
+         "2^5*3^4*5^3*7^2", "all small primes*10007"],
+)
+def test_small_prime_gcd_edge_cases(n):
+    assert factorize(n).factors == _factorize_plain(n)
+
+
+@pytest.mark.parametrize("small", [3, 3 * 8191, 9973**2], ids=["3", "3*8191", "9973^2"])
+def test_small_primes_are_stripped_before_rho(small):
+    # The small primes leave with the gcd pass, the last one of g too: rho
+    # then hunts exactly the cofactor it hunts when they are absent, and
+    # runs out at the same iteration.
+    cofactor = (2**61 - 1) * (2**89 - 1)
+    with pytest.raises(FactorizationTimeout) as alone:
+        factorize(cofactor, max_iterations=70_000)
+    with pytest.raises(FactorizationTimeout) as info:
+        factorize(small * cofactor, max_iterations=70_000)
+    assert info.value.n == small * cofactor
+    assert info.value.cofactor == cofactor
+    assert info.value.iterations == alone.value.iterations
+
+
+def test_cached_reads_do_not_build_the_small_prime_product():
+    from twogen.factor_cache import FactorCache
+
+    build = twogen.arith._small_prime_product
+    cache = FactorCache()
+    cache.put(Factorization(15, ((3, 1), (5, 1))))
+    build.cache_clear()
+    assert factorize(15, cache=cache).factors == ((3, 1), (5, 1))
+    assert build.cache_info().currsize == 0
+    assert factorize(21, cache=cache).factors == ((3, 1), (7, 1))
+    assert build.cache_info().currsize == 1
+    assert build() == math.prod(odd_primes_up_to(TRIAL_DIVISION_BOUND))
+    # Nor does importing the module, in a fresh interpreter.
+    code = "import twogen.arith as a; print(a._small_prime_product.cache_info().currsize)"
+    src = str(Path(twogen.arith.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "0\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=10**6))
 def test_factorize_reconstructs(n):
@@ -505,22 +548,6 @@ def test_factorization_check_rejects_lies():
     with pytest.raises(ValueError):
         Factorization(15, ((5, 1), (3, 1))).check()  # out of order
     Factorization(15, ((3, 1), (5, 1))).check()
-
-
-def test_radical_examples():
-    assert radical(4) == 2
-    assert radical(12) == 6
-    assert radical(18) == 6
-    assert radical(1) == 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=10**6))
-def test_radical_properties(n):
-    r = radical(n)
-    assert n % r == 0
-    assert all(e == 1 for _, e in factorize(r).factors)
-    assert radical(r) == r
 
 
 def test_divisors_examples():

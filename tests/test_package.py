@@ -14,13 +14,13 @@ import twogen
 PUBLIC = {
     "BudgetExceeded", "CountingFormula", "EuclideanTrace", "FactorCache",
     "Factorization", "FactorizationTimeout", "Indicator", "ModulusReport",
-    "NotCoprime", "NotInvertible", "NotOddPrime", "ParseError", "ProductTerm",
+    "NotCoprime", "NotOddPrime", "ParseError", "ProductTerm",
     "ReducedGcd", "SemigroupNode", "SynthesisBlocked", "TwoGeneratorSemigroup",
     "count_by_genus", "count_prime_power", "count_special", "count_two_generator",
     "decompose", "dependence_check", "divisors", "enumerate_by_genus",
     "euclidean_trace", "expand_power", "factorize", "gap_set", "is_prime",
-    "minimal_modulus", "mod_inverse", "modulus_of", "normalize_target",
-    "primitive_root", "radical", "reduce", "reduce_power", "render",
+    "minimal_modulus", "modulus_of", "normalize_target",
+    "primitive_root", "reduce", "reduce_power", "render",
     "row_modulus", "special_factorizations", "strip_exponent",
     "surviving_exponents", "sylvester_genus", "synthesize", "verify_formula",
     "verify_reduction",
