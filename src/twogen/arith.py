@@ -32,7 +32,7 @@ import itertools
 import math
 import random
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 TRIAL_DIVISION_BOUND = 10_000
@@ -197,45 +197,45 @@ def odd_primes_up_to(n: int) -> list[int]:
     return list(iter_odd_primes(n))
 
 
-# Integers per window of `class_counts`: each group costs one bytearray and
-# one int of this many digits per window.
-_WINDOW = 1 << 16
+_WINDOW = 1 << 16  # integers per window of `class_counts`
 
 
 def class_counts(
-    groups: Sequence[Sequence[tuple[int, int]]], constant: int, numbers: Iterable[int]
+    groups: Sequence[Sequence[tuple[int, int]]], constant: int, flags: bytes
 ) -> list[int]:
-    """At each n of the sorted nonnegative `numbers`: `constant` plus the
-    number of groups that no class of theirs hits, n != a (mod q) for every
-    (a, q) in the group.
+    """At each n with flags[n] == 1, in increasing order (every flag is 0 or
+    1): `constant` >= 0 plus the number of groups with no class (a, q) that
+    hits n = a (mod q).
 
-    Like a segmented sieve, window by window of _WINDOW integers, visiting
-    only the windows that hold some n: per group a bytearray of ones, each
-    class zeroed with one slice, then added to a running total as an int
-    whose digits are the positions.  A digit is as wide as the largest
-    count, len(groups), needs, so digits never carry.
+    A segmented sieve, window by window of _WINDOW integers that flag some
+    n, each laid out on base + step*t, on its odd n (step 2) if it flags no
+    even n.  Per group a bytearray of ones, each class zeroed by one slice
+    from t = (a - base)/step mod q/g, g = gcd(step, q), when g | a - base,
+    adds to a total from `constant`, one digit per position, never carried.
     """
-    width = 1
-    while len(groups) >> 8 * width:
-        width *= 2
+    width = next(w for w in (1, 2, 4, 8) if constant + len(groups) < 1 << 8 * w)
     one = (1).to_bytes(width, sys.byteorder)
     low = one.index(1)  # the byte of a digit that holds its 1
-    counts = []
-    for index, window in itertools.groupby(numbers, _WINDOW.__rfloordiv__):
-        lo, window = index * _WINDOW, list(window)
-        size = window[-1] - lo + 1
-        ones, total = one * size, 0
+    counts: list[int] = []
+    for lo in range(0, len(flags), _WINDOW):
+        # Up to the last flagged n; empty, as rfind gives -1, if none is.
+        if not (window := flags[lo : flags.rfind(1, lo, lo + _WINDOW) + 1]):
+            continue
+        step = 1 if 1 in window[::2] else 2  # lo is even
+        base, swept = lo + step - 1, window[step - 1 :: step]
+        ones, size = one * len(swept), len(swept)
+        total = constant * int.from_bytes(ones, sys.byteorder)
         for group in groups:
             digits = bytearray(ones)
             for a, q in group:
-                start = (a - lo) % q
-                if start < size:
-                    hits = (size - 1 - start) // q + 1
-                    digits[width * start + low :: width * q] = bytes(hits)
+                g, offset = math.gcd(step, q), (a - base) % q
+                start = (offset + offset % step * q) // step  # first member on the layout
+                if offset % g == 0 and start < size:
+                    hits = (size - 1 - start) // (q // g) + 1
+                    digits[width * start + low :: width * q // g] = bytes(hits)
             total += int.from_bytes(digits, sys.byteorder)
-        view = memoryview(total.to_bytes(width * size, sys.byteorder))
-        alive = view.cast("BHIQ"[width.bit_length() - 1])
-        counts += [constant + alive[n - lo] for n in window]
+        alive = memoryview(total.to_bytes(width * size, sys.byteorder))
+        counts += itertools.compress(alive.cast("BHIQ"[width.bit_length() - 1]), swept)
     return counts
 
 

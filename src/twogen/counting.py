@@ -21,9 +21,12 @@ the reduction it checks, which derives the same constant on its own.
 A sweep over many primes reads the rows prime by prime of m instead: the
 row gcd is 1 exactly when no prime q of m divides both p^i + 1 and
 2 p^j + 1.  For each q the sweep names, that depends only on p mod q, so
-each row has a list of kill classes x mod q, and `arith.class_counts`
-applies each class to a window of integers with one slice and reads the
-surviving rows at the primes.  The sweep names q by trial division up to
+each row has a list of kill classes x mod q.  A sweep takes the sieve's
+flags, a bytearray with byte p set at each swept prime (`odd_prime_flags`),
+and `arith.class_counts` applies each class to a window of odd integers
+with one slice and reads the surviving rows back at the flagged p, so no
+list of the primes is built unless a row keeps a rough part (below).  The
+sweep names q by trial division up to
 the largest swept prime and, as soon as `arith.is_prime` proves it prime
 (it is exact below 3.317e24, Sorenson and Webster 2017), by the cofactor
 left of a row; a cofactor above every swept prime can only hit p = x.
@@ -35,8 +38,9 @@ whose classes are then checked.
 
 What neither way names, the rough part r of m -- a composite of primes
 above the largest swept prime, or a prime too large to prove -- shares one
-screen with the other rows' rough parts.  Over the odd primes up to 2*10^5
-no row keeps one at any k <= 52.  Since
+screen with the other rows' rough parts, which runs over the list of the
+swept primes.  Over the odd primes up to 2*10^5 no row keeps one at any
+k <= 52, 54, 56 or 60.  Since
 2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
 2 p^k - 1; with L the lcm of the rough parts, a prime with
 gcd(L, 2 p^k - 1) = 1 keeps every rough part at once, and one gcd of L with
@@ -49,11 +53,13 @@ stays exact.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections.abc import Sequence
 
 from .arith import (
     _MR_DETERMINISTIC_BELOW,
+    _prime_flags,
+    check_prime_bound,
     class_counts,
     divisors,
     factorize,
@@ -110,6 +116,16 @@ def _row_table(k: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((i, k - i, row_modulus(k, i)) for i in range(k + 1))
 
 
+def odd_prime_flags(prime_bound: int) -> bytearray:
+    """The flags a sweep over the odd primes p <= prime_bound takes: byte n
+    is 1 exactly when n is an odd prime, for 0 <= n <= prime_bound.  Raises
+    ValueError when no odd prime is that small."""
+    check_prime_bound(prime_bound)
+    flags = _prime_flags(prime_bound)
+    flags[2] = 0
+    return flags
+
+
 def _row_survives(p: int, i: int, j: int, m: int) -> bool:
     """Whether gcd(p^i + 1, 2 p^j + 1) = 1, taken as gcd(m, p^i + 1, 2 p^j + 1)
     on powers of p mod m = row_modulus(i + j, i), the second power only when
@@ -160,23 +176,24 @@ def _bad_residues(q: int, i: int, j: int) -> list[int]:
 
 
 def _prime_tables(
-    primes: Sequence[int], k: int
+    largest: int, k: int
 ) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int, int]]]:
-    """The rows of k as `_survivor_counts` sweeps them over `primes`.
+    """The rows of k as `_survivor_counts` sweeps them up to the prime
+    `largest`, the largest it sweeps.
 
     First, per row i, its kill classes: the (x, q) with q an odd prime of
     the row modulus and x a class at which q divides the row gcd at every
     p = x mod q, in increasing q.  The q are named two ways: by trial
-    division of the odd parts of the row moduli by the odd primes up to the
-    largest swept prime, which stops once nothing is left to divide; and as
-    a cofactor, what is left of a row's odd part, as soon as `is_prime`
+    division of the odd parts of the row moduli by the odd primes up to
+    `largest`, which stops once nothing is left to divide; and as a
+    cofactor, what is left of a row's odd part, as soon as `is_prime`
     proves it prime (it is exact below `_MR_DETERMINISTIC_BELOW`).  A
-    cofactor above the largest swept prime can only hit p = x.  Second, the
-    rows (i, j, r) whose rough part r -- what neither way names: a
-    composite of primes above primes[-1], or a prime too large to prove --
-    is above 1.  The q come from the sieve, never from `primes` itself (a
-    sweep that skips the primes of M(k) would lose every class), so both
-    depend only on k and primes[-1].
+    cofactor above `largest` can only hit p = x.  Second, the rows (i, j, r)
+    whose rough part r -- what neither way names: a composite of primes
+    above `largest`, or a prime too large to prove -- is above 1.  The q
+    come from a sieve of their own, never from the swept flags (a sweep
+    that skips the primes of M(k) would lose every class), so both depend
+    only on k and `largest`.
     """
     rows = _row_table(k)
     rough = [m // (m & -m) for _, _, m in rows]  # row gcds are odd
@@ -196,7 +213,7 @@ def _prime_tables(
     for i, j, _ in rows:
         prove(i, j)
     left = math.prod(set(rough))
-    for q in iter_odd_primes(primes[-1] if primes else 0):
+    for q in iter_odd_primes(largest):
         if left == 1:
             break
         if left % q:
@@ -211,26 +228,30 @@ def _prime_tables(
     return kills, [(i, j, r) for (i, j, _), r in zip(rows, rough) if r > 1]
 
 
-def _survivor_counts(primes: Sequence[int], k: int) -> list[int]:
-    """len(_surviving_exponents(p, k)) at each p of the sorted `primes`.
+def _survivor_counts(flags: bytes, k: int) -> list[int]:
+    """len(_surviving_exponents(p, k)) at each p with flags[p] set, in
+    increasing order; the flags are 0 or 1.
 
     A row dies at p exactly when some prime q of its modulus divides both
     p^i + 1 and 2 p^j + 1.  For the q that `_prime_tables` names, that
     depends on p mod q only: `arith.class_counts` counts the rows that none
-    of their kill classes hits.  The primes it cannot name are in the rough
-    parts r, which share one screen: every row gcd divides 2 p^k - 1, so
-    its rough primes divide g = gcd(L, 2 p^k - 1), L the lcm of the r.  A
-    batch of primes whose product of 2 p^k - 1 mod L is prime to L has
-    g = 1 at each of its primes; in any other batch each prime with g != 1
-    tests its rows still alive with gcd(r, g) in place of the row modulus,
-    which still has every rough prime of the row gcd.  At the primes up to
-    2*10^5 no rough part is left for any k <= 52.
+    of their kill classes hits, straight off the flags.  The primes it
+    cannot name are in the rough parts r, which share one screen over the
+    list of the swept primes, built only when some row has a rough part:
+    every row gcd divides 2 p^k - 1, so its rough primes divide
+    g = gcd(L, 2 p^k - 1), L the lcm of the r.  A batch of primes whose
+    product of 2 p^k - 1 mod L is prime to L has g = 1 at each of its
+    primes; in any other batch each prime with g != 1 tests its rows still
+    alive with gcd(r, g) in place of the row modulus, which still has every
+    rough prime of the row gcd.  At the primes up to 2*10^5 no rough part is
+    left for any k <= 52, 54, 56 or 60.
     """
-    kills, rough = _prime_tables(primes, k)
+    kills, rough = _prime_tables(flags.rfind(1), k)
     groups = [classes for classes in kills if classes]
-    counts = class_counts(groups, k + 1 - len(groups), primes)
+    counts = class_counts(groups, k + 1 - len(groups), flags)
     if not rough:
         return counts
+    primes = list(itertools.compress(range(len(flags)), flags))
     lcm = math.lcm(*(r for _, _, r in rough))
     for start in range(0, len(primes), _SCREEN_BATCH):
         batch = primes[start : start + _SCREEN_BATCH]

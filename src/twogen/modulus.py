@@ -12,17 +12,12 @@ rather than failing the whole computation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
-from .arith import (
-    FactorizationTimeout,
-    Factorization,
-    check_prime_bound,
-    factorize,
-    odd_primes_up_to,
-)
-from .counting import _survivor_counts, row_modulus
+from .arith import FactorizationTimeout, Factorization, factorize
+from .counting import _survivor_counts, odd_prime_flags, row_modulus
 
 
 class ModulusReport(NamedTuple):
@@ -84,28 +79,32 @@ def modulus_of(k: int, cache=None) -> ModulusReport:
 
 def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     """Group odd primes p <= bound (p not dividing M(k)) by p mod M(k) and
-    confirm the direct count n(p^k,2) is constant within each group.  Raises
-    the FactorizationTimeout of the least unfactored m_k(i), hunting no
-    larger one, and ValueError when every odd prime <= bound divides M(k)."""
-    check_prime_bound(prime_bound)
+    confirm the direct count n(p^k,2) is constant within each group.  The
+    sweep takes the sieve flags of the odd primes with the primes of M(k)
+    zeroed, and reads p off their odd half.  Raises the FactorizationTimeout
+    of the least unfactored m_k(i), hunting no larger one, and ValueError
+    when every odd prime <= bound divides M(k)."""
+    flags = odd_prime_flags(prime_bound)
     support: set[int] = set()
     for m in _row_moduli(k)[1]:
         support.update(p for p, _ in factorize(m, cache).factors)
     m = math.prod(support)
-    primes = [p for p in odd_primes_up_to(prime_bound) if p not in support]
-    if not primes:
+    for q in support:
+        if q <= prime_bound:
+            flags[q] = 0
+    checked = flags.count(1)
+    if not checked:
         raise ValueError(
             f"no odd prime <= {prime_bound} is prime to M({k}) = {m}"
         )
-    checked = len(primes)
     classes: dict[int, int] = {}
     violations = []
-    for p, value in zip(primes, _survivor_counts(primes, k)):
+    primes = itertools.compress(range(1, prime_bound + 1, 2), flags[1::2])
+    for p, value in zip(primes, _survivor_counts(flags, k)):
         residue = p % m
         expected = classes.setdefault(residue, value)
         if value != expected:
             violations.append((p, residue, value, expected))
-    del primes  # free the swept primes before the classes are sorted
     return DependenceReport(
         k, m, checked, tuple(sorted(classes.items())), tuple(violations)
     )

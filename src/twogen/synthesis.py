@@ -19,8 +19,8 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .arith import FactorizationTimeout, check_prime_bound, class_counts, odd_primes_up_to
-from .counting import _survivor_counts
+from .arith import FactorizationTimeout, class_counts
+from .counting import _survivor_counts, odd_prime_flags
 from .indicators import Indicator, _sort_key, reduce_power
 from .reduction import normalize_target, reduce
 
@@ -199,15 +199,19 @@ def synthesize(k: int, cache=None) -> CountingFormula:
 
 def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
     """Compare the formula with the direct count at every odd prime <= bound.
-    A term is 0 exactly at the classes a mod q of its factors X(a,q)."""
-    check_prime_bound(prime_bound)
-    primes = odd_primes_up_to(prime_bound)
-    values = class_counts([t.factors for t in formula.terms], formula.constant, primes)
-    counts = _survivor_counts(primes, formula.k)
-    mismatches = tuple(
-        (p, got, want) for p, got, want in zip(primes, values, counts) if got != want
-    )
-    return FormulaCheck(formula.k, prime_bound, len(primes), mismatches)
+    A term is 0 exactly at the classes a mod q of its factors X(a,q).  Both
+    sides count off the same sieve flags, and the primes are listed only
+    when the two lists of counts differ."""
+    flags = odd_prime_flags(prime_bound)
+    values = class_counts([t.factors for t in formula.terms], formula.constant, flags)
+    counts = _survivor_counts(flags, formula.k)
+    mismatches: tuple[tuple[int, int, int], ...] = ()
+    if values != counts:
+        primes = itertools.compress(range(prime_bound + 1), flags)
+        mismatches = tuple(
+            (p, got, want) for p, got, want in zip(primes, values, counts) if got != want
+        )
+    return FormulaCheck(formula.k, prime_bound, flags.count(1), mismatches)
 
 
 def _residue_model(terms) -> dict[int, tuple[list[int], list[int], bool]]:

@@ -40,6 +40,8 @@ from twogen.arith import (
     primitive_root,
 )
 
+from sweep_flags import flags_of
+
 
 def test_is_prime_examples():
     assert is_prime(257)
@@ -67,55 +69,119 @@ def test_iter_odd_primes_reads_the_odd_primes_lazily():
         assert list(primes) == [p for p in primes_up_to(n) if p != 2], n
 
 
-def _class_counts_plain(groups, constant, numbers):
-    """`class_counts` number by number."""
+def _class_counts_plain(groups, constant, flags):
+    """`class_counts` number by number, at each n with flags[n] set."""
     return [
         constant + sum(all(n % q != a % q for a, q in group) for group in groups)
-        for n in numbers
+        for n, flag in enumerate(flags)
+        if flag
     ]
 
 
-_CLASSES = st.tuples(st.integers(0, 3 * _WINDOW), st.integers(2, 3 * _WINDOW))
+# Moduli of every size up to three windows, and small even ones, which meet
+# only one parity of n.
+_MODULI = st.one_of(
+    st.integers(1, 3 * _WINDOW),
+    st.integers(1, 12).map(lambda h: 2 * h),
+    st.integers(1, 3 * _WINDOW // 2).map(lambda h: 2 * h),
+)
+_CLASSES = st.tuples(st.integers(0, 3 * _WINDOW), _MODULI)
 
 
-@settings(max_examples=100, deadline=None)
+@st.composite
+def _sweep_flags(draw):
+    """Flags over up to four windows: odd n only, so every window is laid
+    out on its odd integers, or n of both parities, with repeats drawn."""
+    numbers = draw(st.lists(st.integers(0, 4 * _WINDOW), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        numbers = [n | 1 for n in numbers]
+    return flags_of(numbers)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.lists(_CLASSES, max_size=4), max_size=6),
     st.integers(0, 300),
-    st.lists(st.integers(0, 4 * _WINDOW), min_size=1, max_size=40),
+    _sweep_flags(),
 )
-def test_class_counts_match_a_plain_count(groups, constant, numbers):
-    numbers.sort()
-    assert class_counts(groups, constant, numbers) == _class_counts_plain(
-        groups, constant, numbers
+def test_class_counts_match_a_plain_count(groups, constant, flags):
+    assert class_counts(groups, constant, flags) == _class_counts_plain(
+        groups, constant, flags
     )
+
+
+def test_class_counts_read_nothing_from_empty_flags():
+    groups = [[(1, 3)], [(0, 2)]]
+    for flags in (bytearray(), bytearray(1), bytearray(3 * _WINDOW)):
+        assert class_counts(groups, 5, flags) == []
+
+
+_EDGE_GROUPS = [
+    [(0, 2)],
+    [(1, 2), (3, 4)],
+    [(_WINDOW - 1, _WINDOW)],
+    [(1, 3), (2, 5)],
+    [(_WINDOW, _WINDOW + 1)],
+    [(2 * _WINDOW - 1, 3 * _WINDOW)],
+    [(5, 7), (0, 11), (_WINDOW + 1, 2 * _WINDOW + 3)],
+    [(_WINDOW + 3, 2 * _WINDOW), (7, 6)],
+]
 
 
 def test_class_counts_at_window_edges():
     # Every number next to the first three window edges, against classes
-    # that start, end or step over a window.
+    # that start, end or step over a window: all of them, so every window
+    # is laid out on all its integers, and the odd ones alone.
     edges = (0, _WINDOW, 2 * _WINDOW)
     numbers = [e + d for e in edges for d in (-2, -1, 0, 1) if e + d >= 0]
-    groups = [
-        [(0, 2)],
-        [(_WINDOW - 1, _WINDOW)],
-        [(1, 3), (2, 5)],
-        [(_WINDOW, _WINDOW + 1)],
-        [(2 * _WINDOW - 1, 3 * _WINDOW)],
-        [(5, 7), (0, 11), (_WINDOW + 1, 2 * _WINDOW + 3)],
-    ]
-    assert class_counts(groups, 4, numbers) == _class_counts_plain(groups, 4, numbers)
+    for swept in (numbers, [n for n in numbers if n % 2]):
+        flags = flags_of(swept)
+        assert class_counts(_EDGE_GROUPS, 4, flags) == _class_counts_plain(
+            _EDGE_GROUPS, 4, flags
+        )
+
+
+def test_class_counts_lay_out_each_window_on_its_own():
+    # Window 0 flags only odd n and is laid out on them; window 1 flags
+    # one even n and is laid out on all its integers; window 2 is empty;
+    # window 3 flags only odd n again.  Even q meet one parity only.
+    numbers = [1, 3, 9, 15, _WINDOW - 1]
+    numbers += [_WINDOW + 1, _WINDOW + 4, 2 * _WINDOW - 1]
+    numbers += [3 * _WINDOW + 1, 3 * _WINDOW + 7]
+    groups = [[(1, 4)], [(0, 2)], [(1, 2)], [(3, 6), (9, 10)], [(4, 3)]]
+    groups.append([(5, 2 * _WINDOW)])
+    flags = flags_of(numbers)
+    assert class_counts(groups, 0, flags) == _class_counts_plain(groups, 0, flags)
+    assert class_counts(groups, 0, flags)[6] == 5  # n = 2^16 + 4: only (0, 2) hits it
+
+
+def _no_carry_cases(size: int, constant: int):
+    """`size` groups, each but the last hit at 2 mod 5 and the last at 0, and
+    the counts `class_counts` must give on top of `constant`, at odd n
+    only and at n of both parities: up to constant + size."""
+    groups = [[(2, 5)]] * (size - 1) + [[(0, 5)]]
+    odd = [1, 3, 5, 7, 9, 11, 13, _WINDOW + 3]
+    for numbers in (odd, odd + [2, 12]):
+        flags = flags_of(numbers)
+        want = _class_counts_plain(groups, constant, flags)
+        assert max(want) == constant + size
+        yield groups, flags, want
 
 
 @pytest.mark.parametrize("size", [255, 256, 300, 65_535, 65_536])
 def test_class_counts_digits_do_not_carry(size):
-    # `size` groups, each but the last hit at 2 mod 5 and the last at 0:
-    # counts near the top of a byte and of two bytes, which must not carry
+    # Counts near the top of a byte and of two bytes, which must not carry
     # into a neighbour.
-    groups = [[(2, 5)]] * (size - 1) + [[(0, 5)]]
-    numbers = [1, 2, 3, 5, _WINDOW + 3]
-    want = [7 + size, 8, 7 + size, 6 + size, 7 + size]
-    assert class_counts(groups, 7, numbers) == want
+    for groups, flags, want in _no_carry_cases(size, 7):
+        assert class_counts(groups, 7, flags) == want
+
+
+@pytest.mark.parametrize("size, constant", [(5, 250), (5, 251), (6, 65_529), (6, 65_530)])
+def test_class_counts_fold_the_constant_into_the_digits(size, constant):
+    # The constant alone takes the counts to 255 and past it (251 + 5), and
+    # to 65,535 and past it (65,530 + 6), so it sets the digit width too.
+    for groups, flags, want in _no_carry_cases(size, constant):
+        assert class_counts(groups, constant, flags) == want
 
 
 def test_is_prime_agrees_with_sieve_below_2e6():

@@ -26,6 +26,8 @@ from twogen.reduction import reduce
 from twogen.semigroup import count_two_generator, enumerate_by_genus
 from twogen.synthesis import synthesize
 
+from sweep_flags import flags_of
+
 
 def test_special_factorization_examples():
     assert special_factorizations(5) == [(1, 10)]  # gcd(3,6) kills {2,5}
@@ -186,7 +188,7 @@ def _dependence_primes(k: int) -> list[int]:
 def _table_primes(primes, k: int) -> list[int]:
     """The primes q of the kill classes `_survivor_counts` applies when it
     sweeps `primes`."""
-    return sorted({q for classes in _prime_tables(primes, k)[0] for _, q in classes})
+    return sorted({q for classes in _prime_tables(primes[-1], k)[0] for _, q in classes})
 
 
 def test_the_table_boundary_cases_straddle_a_row_modulus():
@@ -201,17 +203,17 @@ def test_the_prime_table_cases_straddle_a_table():
     # whole, a composite rough part; from 23 on, its cofactor 89 is proven
     # prime, so a sweep that ends below 89 (or 127) names the same classes
     # as one that ends at it.
-    assert (11, 1, 2047) in _prime_tables(odd_primes_up_to(19), 12)[1]
+    assert (11, 1, 2047) in _prime_tables(odd_primes_up_to(19)[-1], 12)[1]
     assert not {23, 89} & set(_table_primes(odd_primes_up_to(19), 12))
     assert math.gcd(2047, 2 * 11**12 - 1) == 23  # p = 11 fails the screen
-    tables = _prime_tables(odd_primes_up_to(23), 12)
+    tables = _prime_tables(odd_primes_up_to(23)[-1], 12)
     assert tables[1] == []
     assert {23, 89, 127} <= set(_table_primes(odd_primes_up_to(23), 12))
     for last in (83, 89, 113, 127, 20_000):
-        assert _prime_tables(odd_primes_up_to(last), 12) == tables, last
+        assert _prime_tables(odd_primes_up_to(last)[-1], 12) == tables, last
     # k = 20: row 13 has the prime modulus 8191, above the last prime 8179
     # of the sweep, and its class 6143 mod 8191 hits the swept prime 6143.
-    assert (6143, 8191) in _prime_tables(_BELOW_8191, 20)[0][13]
+    assert (6143, 8191) in _prime_tables(_BELOW_8191[-1], 20)[0][13]
     assert 6143 in _BELOW_8191
 
 
@@ -258,7 +260,7 @@ def test_tables_list_the_factors_of_the_derived_rows():
     cache = FactorCache()
     rough_ks = []
     for k in range(1, 61):
-        kills, rough = _prime_tables(primes, k)
+        kills, rough = _prime_tables(primes[-1], k)
         killed = {i: set(classes) for i, classes in enumerate(kills)}
         assert all(len(set(classes)) == len(classes) for classes in kills), k
         derived = {i: set() for i in range(k + 1)}
@@ -278,10 +280,10 @@ def test_no_rough_part_is_left_up_to_k_52():
     # row prime, so `_survivor_counts` runs no screen at these k.
     primes = odd_primes_up_to(200_000)
     for k in [*range(1, 53), 54, 56, 60]:
-        assert _prime_tables(primes, k)[1] == [], k
+        assert _prime_tables(primes[-1], k)[1] == [], k
     # 2^89 - 1, a prime of 27 digits above the bound of the proven
     # Miller-Rabin bases, stays in the screen.
-    assert (89, 1, 2**89 - 1) in _prime_tables(primes, 90)[1]
+    assert (89, 1, 2**89 - 1) in _prime_tables(primes[-1], 90)[1]
     assert 2**89 - 1 > _MR_DETERMINISTIC_BELOW
 
 
@@ -339,7 +341,7 @@ def test_tables_do_not_depend_on_the_primes_swept():
         plain = _PRIMES[: len(swept)]
         assert swept != plain
         assert _table_primes(swept, k)
-        assert _prime_tables(swept, k) == _prime_tables(plain, k), k
+        assert _prime_tables(swept[-1], k) == _prime_tables(plain[-1], k), k
 
 
 def _screen_hits(k: int) -> list[int]:
@@ -360,7 +362,7 @@ def _rough_hits(k: int) -> list[int]:
     `_survivor_counts` tests its rough parts one by one.  A list that ends
     lower divides fewer primes out of each rough part, so these primes stay
     in the fallback when swept on their own."""
-    lcm = math.lcm(*(r for _, _, r in _prime_tables(_PRIMES, k)[1]))
+    lcm = math.lcm(*(r for _, _, r in _prime_tables(_PRIMES[-1], k)[1]))
     hits = [p for p in _PRIMES if math.gcd(lcm, 2 * pow(p, k, lcm) - 1) != 1]
     assert hits
     return hits
@@ -410,7 +412,7 @@ def test_surviving_exponents_match_the_plain_gcds(ks, primes_of):
         primes = primes_of(k)
         plain = [_surviving_exponents_plain(p, k) for p in primes]
         assert [_surviving_exponents(p, k) for p in primes] == plain, k
-        assert list(_survivor_counts(primes, k)) == list(map(len, plain)), k
+        assert _survivor_counts(flags_of(primes), k) == list(map(len, plain)), k
 
 
 def test_surviving_exponents_match_the_plain_gcds_at_700_bits():

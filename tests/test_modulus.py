@@ -91,6 +91,20 @@ def test_dependence_needs_an_odd_prime():
     assert dependence_check(1, 5).ok
 
 
+def test_dependence_needs_a_prime_outside_m_k():
+    # 3 divides M(k) for every k, so a bound of 3 leaves no prime to sweep.
+    for k in range(1, 5):
+        m = modulus_of(k).modulus
+        message = rf"^no odd prime <= 3 is prime to M\({k}\) = {m}$"
+        with pytest.raises(ValueError, match=message):
+            dependence_check(k, 3)
+
+
+def test_dependence_check_at_a_window_edge():
+    # 65,537 is the first prime of the second window of the class sweep.
+    assert dependence_check(4, 65_537) == _reference_dependence(4, 65_537)
+
+
 def test_dependence_k4_values():
     report = dependence_check(4, 10_000)
     assert report.ok

@@ -29,6 +29,7 @@ from twogen.synthesis import (
 )
 
 from golden_formulas import GOLDEN
+from sweep_flags import flags_of
 
 
 def test_product_term_canonical():
@@ -102,6 +103,20 @@ def test_verify_formula_needs_an_odd_prime():
     with pytest.raises(ValueError, match=r"^prime_bound must be >= 3, got 2$"):
         verify_formula(GOLDEN[3], 2)
     assert verify_formula(GOLDEN[3], 3).primes_checked == 1
+
+
+@pytest.mark.parametrize(
+    "prime_bound", [3, 4, 65_535, 65_536, 65_537, 131_071, 131_072, 131_073]
+)
+def test_verify_formula_at_the_edges_of_the_sweep(prime_bound):
+    # One prime (3), and the bounds around the first two window edges of
+    # the class sweep, 2^16 and 2^17; 65,537 and 131,071 are prime.  The
+    # broken formula is off at every prime, so its mismatches list them all.
+    broken = CountingFormula(10, GOLDEN[10].constant + 1, GOLDEN[10].terms)
+    for formula in (GOLDEN[10], broken):
+        check = verify_formula(formula, prime_bound)
+        assert check == _reference_check(formula, prime_bound), prime_bound
+    assert len(check.mismatches) == check.primes_checked
 
 
 def test_verify_formula_catches_corruption():
@@ -331,9 +346,10 @@ def test_minimal_modulus_matches_residue_scan(formula):
 
 
 def _class_values(formula: CountingFormula, numbers) -> list[int]:
-    """`formula.evaluate` at each of the sorted `numbers`, as `verify_formula`
-    takes it: one kill class per factor X(a,q) of a term."""
-    return class_counts([t.factors for t in formula.terms], formula.constant, numbers)
+    """`formula.evaluate` at each of the sorted distinct `numbers`, as
+    `verify_formula` takes it: one kill class per factor X(a,q) of a term."""
+    flags = flags_of(numbers)
+    return class_counts([t.factors for t in formula.terms], formula.constant, flags)
 
 
 def test_class_counts_match_evaluate_on_derived_formulas():
