@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from typing import NamedTuple
 
 from .arith import FactorizationTimeout, class_counts
@@ -233,44 +232,31 @@ def _residue_model(terms) -> dict[int, tuple[list[int], list[int], bool]]:
 def minimal_modulus(formula: CountingFormula) -> int:
     """Smallest divisor m of the natural modulus such that the formula is
     constant on every residue class mod m intersected with the residues
-    coprime to the natural modulus.
+    coprime to the natural modulus: the product of the primes q with a
+    listed unit, a factor X(a,q) with a != 0.
 
     Write each factor X(a,q) as 1 - e_{q,a}, with e_{q,a} = [p = a mod q].
-    On p coprime to the natural modulus e_{q,0} = 0, e_{q,a}*e_{q,b} = 0 for
-    a != b, and when the listed units cover every unit mod q one of their
-    indicators equals 1 minus the sum of the others.  Eliminating those
-    leaves monomials in indicators that are linearly independent functions
-    of p, so the formula's expansion over them is unique, and it depends on
-    the class of p mod q exactly when some monomial in some e_{q,a} keeps a
-    nonzero coefficient.  The answer is the product of those primes.
+    On p coprime to the natural modulus e_{q,0} = 0 and e_{q,a}*e_{q,b} = 0
+    for a != b, so each term expands into monomials with at most one e per
+    prime.  While the listed units of no prime cover every unit mod q, these
+    monomials are linearly independent functions of p, and the coefficient
+    of e_{q,a} is minus the number of terms that list X(a,q), never 0: the
+    value depends on the class of p mod q exactly when q lists a unit.
+
+    A derived formula always qualifies.  Its row i lists X(a,q) only where
+    q divides both p^i + 1 and 2p^(k-i) + 1, so q is odd, and p = 0 or 1
+    (mod q) gives 2p^(k-i) + 1 = 1 or p^i + 1 = 2: X(1,q) is never listed.
+    A formula whose listed units cover every unit of some q raises
+    ValueError, since X(1,5) + X(2,5) + X(3,5) + X(4,5), for one, is
+    constant on the units mod 5.
     """
-    # For each prime whose listed units cover every unit: the last of them,
-    # and the units whose indicators sum to 1 minus its indicator.
-    eliminated = {
-        q: (units[-1], units[:-1])
-        for q, (_, units, open_) in _residue_model(formula.terms).items()
-        if not open_
-    }
-    # A monomial is a tuple of (q, a) pairs, at most one per prime.
-    coefficients: Counter[tuple] = Counter()
-    for term in formula.terms:
-        monomials = {(): 1}
-        for q, group in itertools.groupby(term.factors, key=lambda x: x.q):
-            # the product of the group's (1 - e_{q,a}) is 1 - sum of the e_{q,a}
-            last, others = eliminated.get(q, (None, ()))
-            linear = Counter({(): 1})
-            for x in group:
-                if x.a == last:
-                    linear[()] -= 1
-                    for b in others:
-                        linear[((q, b),)] += 1
-                elif x.a != 0:
-                    linear[((q, x.a),)] -= 1
-            monomials = {
-                m + e: c * d for m, c in monomials.items() for e, d in linear.items()
-            }
-        coefficients.update(monomials)
-    return math.prod({q for m, c in coefficients.items() if c for q, _ in m})
+    result = 1
+    for q, (_, units, open_) in _residue_model(formula.terms).items():
+        if not open_:
+            raise ValueError(f"the listed units of {q} cover every unit mod {q}")
+        if units:
+            result *= q
+    return result
 
 
 # --- rendering ---------------------------------------------------------

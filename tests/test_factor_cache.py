@@ -189,31 +189,6 @@ def test_factorize_consults_and_updates_cache():
     )
 
 
-def test_seed_power_tables():
-    cache = FactorCache()
-    cache.seed_power_tables(max_exponent=16)
-    assert cache.get(513).factors == ((3, 3), (19, 1))  # 2^9 + 1
-    assert cache.get(2**16 + 1).factors == ((65537, 1),)
-    assert cache.get(2**13 - 1).factors == ((8191, 1),)
-    assert 1 not in cache  # 2^1 - 1 is skipped
-
-
-def test_seed_power_tables_keeps_going_past_a_timeout():
-    # With no rho budget, 2^41 - 1 = 13367 * 164511353 is the first number
-    # that needs rho; everything below the trial bound still factors.
-    cache = FactorCache()
-    with pytest.raises(FactorizationTimeout) as info:
-        cache.seed_power_tables(max_exponent=64, max_iterations=0)
-    assert info.value.n == 2**41 - 1
-    failed = {2**41 - 1, 2**52 + 1, 2**53 - 1, 2**57 - 1, 2**59 - 1, 2**59 + 1}
-    failed |= {2**63 - 1, 2**64 + 1}
-    for m in range(1, 65):
-        for n in (2**m - 1, 2**m + 1):
-            if n >= 2:
-                assert (n in cache) == (n not in failed), n
-    assert cache.get(2**64 - 1).value == 2**64 - 1
-
-
 def test_cli_workload_factorizations_are_unchanged(tmp_path):
     # The 93 distinct row moduli m_k(i) > 1 of `modulus --k 4, 8, ..., 128`.
     # The digest pins the cache file they give, so a change to the hunt

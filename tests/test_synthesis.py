@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from twogen.synthesis import (
     SynthesisBlocked,
     _case_table_cells,
     _grouped,
+    _residue_model,
     minimal_modulus,
     render,
     synthesize,
@@ -289,6 +291,48 @@ def _minimal_modulus_pattern_scan(formula):
     return result
 
 
+def _minimal_modulus_normal_form(formula):
+    """The former minimal_modulus: expand the formula into its multilinear
+    normal form and take the product of the primes that keep a monomial
+    with a nonzero coefficient.
+
+    Write each factor X(a,q) as 1 - e_{q,a}, with e_{q,a} = [p = a mod q].
+    On p coprime to the natural modulus e_{q,0} = 0, e_{q,a}*e_{q,b} = 0 for
+    a != b, and when the listed units cover every unit mod q one of their
+    indicators equals 1 minus the sum of the others.  Eliminating those
+    leaves monomials in indicators that are linearly independent functions
+    of p, so the expansion over them is unique.  Unlike minimal_modulus it
+    also answers on formulas whose listed units cover every unit of a prime.
+    """
+    # For each prime whose listed units cover every unit: the last of them,
+    # and the units whose indicators sum to 1 minus its indicator.
+    eliminated = {
+        q: (units[-1], units[:-1])
+        for q, (_, units, open_) in _residue_model(formula.terms).items()
+        if not open_
+    }
+    # A monomial is a tuple of (q, a) pairs, at most one per prime.
+    coefficients: Counter[tuple] = Counter()
+    for term in formula.terms:
+        monomials = {(): 1}
+        for q, group in itertools.groupby(term.factors, key=lambda x: x.q):
+            # the product of the group's (1 - e_{q,a}) is 1 - sum of the e_{q,a}
+            last, others = eliminated.get(q, (None, ()))
+            linear = Counter({(): 1})
+            for x in group:
+                if x.a == last:
+                    linear[()] -= 1
+                    for b in others:
+                        linear[((q, b),)] += 1
+                elif x.a != 0:
+                    linear[((q, x.a),)] -= 1
+            monomials = {
+                m + e: c * d for m, c in monomials.items() for e, d in linear.items()
+            }
+        coefficients.update(monomials)
+    return math.prod({q for m, c in coefficients.items() if c for q, _ in m})
+
+
 def test_minimal_modulus_matches_brute_force():
     for k in range(1, 6):
         formula = synthesize(k)
@@ -307,10 +351,16 @@ def test_minimal_modulus_matches_pattern_scan():
 
 
 def test_minimal_modulus_beyond_the_pattern_scan():
-    # The scan needs 2^24 pattern combinations here; the normal form finds
-    # that the value depends on every prime of the natural modulus.
-    formula = synthesize(40)
-    assert minimal_modulus(formula) == formula.natural_modulus
+    # The scan needs 2^24 pattern combinations at k = 40 alone; the closed
+    # form and the normal-form oracle cover the whole derivable range.
+    cache = FactorCache()
+    for k in range(1, 129):
+        formula = synthesize(k, cache)
+        assert (
+            minimal_modulus(formula)
+            == _minimal_modulus_normal_form(formula)
+            == formula.natural_modulus
+        ), k
 
 
 @st.composite
@@ -341,8 +391,21 @@ def _formula(constant, *terms):
 @example(_formula(1, [(1, 5)], [(2, 5)], [(3, 5)], [(4, 5)], [(1, 7), (0, 5)]))
 # X(1,2) vanishes on odd p, and X(0,7) is 1 on p coprime to 7
 @example(_formula(2, [(1, 2), (3, 7)], [(0, 7), (2, 3)]))
+# no prime covered, and X(0,5) is 1 off the class 0: 21 where the natural
+# modulus is 105
+@example(_formula(1, [(2, 3)], [(0, 5), (3, 7)]))
 def test_minimal_modulus_matches_residue_scan(formula):
-    assert minimal_modulus(formula) == _minimal_modulus_brute(formula)
+    brute = _minimal_modulus_brute(formula)
+    assert _minimal_modulus_normal_form(formula) == brute
+    listed = {}
+    for term in formula.terms:
+        for x in term.factors:
+            listed.setdefault(x.q, set()).add(x.a)
+    if any(set(range(1, q)) <= residues for q, residues in listed.items()):
+        with pytest.raises(ValueError, match="cover every unit"):
+            minimal_modulus(formula)
+    else:
+        assert minimal_modulus(formula) == brute
 
 
 def _class_values(formula: CountingFormula, numbers) -> list[int]:
