@@ -185,11 +185,34 @@ def primes_up_to(n: int) -> list[int]:
     return list(itertools.compress(range(n + 1), _prime_flags(n)))
 
 
+_FIRST_SEGMENT = 1 << 14  # the first segment of `iter_odd_primes`, up to it
+
+
 def iter_odd_primes(n: int) -> Iterator[int]:
-    """The odd primes <= n in increasing order, read lazily off the sieve."""
+    """The odd primes <= n in increasing order, sieved as they are read: up
+    to _FIRST_SEGMENT, then segment by segment, each as long as all before
+    it, so a reader that stops early sieves only as far as it read."""
     if n < 3:
         return iter(())
-    return itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])
+    return itertools.chain.from_iterable(_odd_prime_segments(n))
+
+
+def _odd_prime_segments(n: int) -> Iterator[Iterator[int]]:
+    """The odd primes <= n, segment by segment; each segment (hi, 2 hi] is
+    laid out on its odd integers and sieved by the odd primes up to the
+    square root of n."""
+    hi = min(n, _FIRST_SEGMENT)
+    yield itertools.compress(range(3, hi + 1, 2), _prime_flags(hi)[3::2])
+    root = math.isqrt(n)
+    sievers = list(itertools.compress(range(3, root + 1, 2), _prime_flags(root)[3::2]))
+    while hi < n:
+        lo, hi = hi + 1 | 1, min(n, 2 * hi)
+        size = (hi - lo) // 2 + 1  # position i is lo + 2i
+        flags, zeros = bytearray([1]) * size, memoryview(bytes(size // 3 + 1))
+        for p in sievers[: bisect.bisect_right(sievers, math.isqrt(hi))]:
+            start = (p * max(p, -(-lo // p) | 1) - lo) // 2  # its first odd multiple
+            flags[start::p] = zeros[: (size - 1 - start) // p + 1]
+        yield itertools.compress(range(lo, hi + 1, 2), flags)
 
 
 def odd_primes_up_to(n: int) -> list[int]:
@@ -198,6 +221,9 @@ def odd_primes_up_to(n: int) -> list[int]:
 
 
 _WINDOW = 1 << 16  # integers per window of `class_counts`
+_WHEEL = 2 * 3 * 5  # the residues of a window's lanes
+# Flag to mask byte: 0xFF at each unflagged position, 0 at each flagged one.
+_UNFLAGGED = b"\xff" + bytes(255)
 
 
 def class_counts(
@@ -207,35 +233,59 @@ def class_counts(
     1): `constant` >= 0 plus the number of groups with no class (a, q) that
     hits n = a (mod q).
 
-    A segmented sieve, window by window of _WINDOW integers that flag some
-    n, each laid out on base + step*t, on its odd n (step 2) if it flags no
-    even n.  Per group a bytearray of ones, each class zeroed by one slice
-    from t = (a - base)/step mod q/g, g = gcd(step, q), when g | a - base,
-    adds to a total from `constant`, one digit per position, never carried.
+    A segmented sieve on the wheel mod _WHEEL, window by window of _WINDOW
+    integers that flag some n.  A window from lo lays out only its lanes,
+    the r in [0, _WHEEL) at which it flags some n = r (mod _WHEEL) above
+    lo, interleaved row by row: position len(lanes)*t + j is
+    n = lo + _WHEEL*t + lanes[j] (8 lanes at the odd primes above 5).  Per
+    group a bytearray of ones, each class zeroed on each lane j by one slice
+    from t = (a - lo - lanes[j])/g * (_WHEEL/g)^-1 mod q/g, g =
+    gcd(q, _WHEEL), when g | a - lo - lanes[j], adds to a total from
+    `constant`, one digit per position, never carried.  A digit never
+    reaches all ones, so one-byte digits are read back by setting the
+    unflagged ones to 0xFF and deleting them.
     """
-    width = next(w for w in (1, 2, 4, 8) if constant + len(groups) < 1 << 8 * w)
+    # The all-ones digit is kept free: at one byte it marks the unflagged n.
+    width = next(w for w in (1, 2, 4, 8) if constant + len(groups) < (1 << 8 * w) - 1)
     one = (1).to_bytes(width, sys.byteorder)
     low = one.index(1)  # the byte of a digit that holds its 1
+    steps = []  # per class: a, g, the period q/g in rows, and (_WHEEL/g)^-1
+    for group in groups:
+        steps.append([])
+        for a, q in group:
+            g = math.gcd(q, _WHEEL)
+            steps[-1].append((a, g, q // g, pow(_WHEEL // g, -1, q // g)))
     counts: list[int] = []
     for lo in range(0, len(flags), _WINDOW):
         # Up to the last flagged n; empty, as rfind gives -1, if none is.
         if not (window := flags[lo : flags.rfind(1, lo, lo + _WINDOW) + 1]):
             continue
-        step = 1 if 1 in window[::2] else 2  # lo is even
-        base, swept = lo + step - 1, window[step - 1 :: step]
-        ones, size = one * len(swept), len(swept)
+        rows = -(-len(window) // _WHEEL)
+        window += bytes(rows * _WHEEL - len(window))
+        columns = [window[r::_WHEEL] for r in range(_WHEEL)]
+        lanes = [r for r in range(_WHEEL) if 1 in columns[r]]
+        size = rows * len(lanes)
+        swept = bytearray(size)
+        for j, r in enumerate(lanes):
+            swept[j :: len(lanes)] = columns[r]
+        ones = one * size
         total = constant * int.from_bytes(ones, sys.byteorder)
-        for group in groups:
+        for classes in steps:
             digits = bytearray(ones)
-            for a, q in group:
-                g, offset = math.gcd(step, q), (a - base) % q
-                start = (offset + offset % step * q) // step  # first member on the layout
-                if offset % g == 0 and start < size:
-                    hits = (size - 1 - start) // (q // g) + 1
-                    digits[width * start + low :: width * q // g] = bytes(hits)
+            for a, g, period, inverse in classes:
+                for j, r in enumerate(lanes):
+                    offset = a - lo - r
+                    if offset % g == 0 and (t := offset // g * inverse % period) < rows:
+                        start = width * (len(lanes) * t + j) + low
+                        hits = (rows - 1 - t) // period + 1
+                        digits[start :: width * len(lanes) * period] = bytes(hits)
             total += int.from_bytes(digits, sys.byteorder)
-        alive = memoryview(total.to_bytes(width * size, sys.byteorder))
-        counts += itertools.compress(alive.cast("BHIQ"[width.bit_length() - 1]), swept)
+        if width == 1:
+            total |= int.from_bytes(swept.translate(_UNFLAGGED), sys.byteorder)
+            counts += total.to_bytes(size, sys.byteorder).translate(None, b"\xff")
+        else:
+            alive = memoryview(total.to_bytes(width * size, sys.byteorder))
+            counts += itertools.compress(alive.cast("BHIQ"[width.bit_length() - 1]), swept)
     return counts
 
 

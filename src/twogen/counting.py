@@ -23,14 +23,15 @@ row gcd is 1 exactly when no prime q of m divides both p^i + 1 and
 2 p^j + 1.  For each q the sweep names, that depends only on p mod q, so
 each row has a list of kill classes x mod q.  A sweep takes the sieve's
 flags, a bytearray with byte p set at each swept prime (`odd_prime_flags`),
-and `arith.class_counts` applies each class to a window of odd integers
-with one slice and reads the surviving rows back at the flagged p, so no
-list of the primes is built unless a row keeps a rough part (below).  The
-sweep names q by trial division up to
-the largest swept prime and, as soon as `arith.is_prime` proves it prime
-(it is exact below 3.317e24, Sorenson and Webster 2017), by the cofactor
-left of a row; a cofactor above every swept prime can only hit p = x.
-The classes
+and `arith.class_counts` lays each window out on the residues mod 30 it
+flags (8 for the primes above 5), applies each class to each of them with
+one slice and reads the surviving rows back at the flagged p, so no list
+of the primes is built unless a row keeps a rough part (below).  The
+sweep names q by trial division up to the largest swept prime, with the
+primes sieved only as far as the division reads them, and, as soon as
+`arith.is_prime` proves it prime (it is exact below 3.317e24, Sorenson
+and Webster 2017), by the cofactor left of a row; a cofactor above every
+swept prime can only hit p = x.  The classes
 (x^i = -1, 2 x^j = -1 mod q) come from Bezout: with g = gcd(i, j) = u i + v j
 they are empty or the g-th roots of t = (-1)^u (-1/2)^v.  Each row costs
 two powers of t and, when both pass, one call of `arith.power_roots`,
@@ -185,7 +186,8 @@ def _prime_tables(
     the row modulus and x a class at which q divides the row gcd at every
     p = x mod q, in increasing q.  The q are named two ways: by trial
     division of the odd parts of the row moduli by the odd primes up to
-    `largest`, which stops once nothing is left to divide; and as a
+    `largest`, which stops once nothing is left to divide, and so sieves
+    them only that far; and as a
     cofactor, what is left of a row's odd part, as soon as `is_prime`
     proves it prime (it is exact below `_MR_DETERMINISTIC_BELOW`).  A
     cofactor above `largest` can only hit p = x.  Second, the rows (i, j, r)
@@ -213,9 +215,8 @@ def _prime_tables(
     for i, j, _ in rows:
         prove(i, j)
     left = math.prod(set(rough))
-    for q in iter_odd_primes(largest):
-        if left == 1:
-            break
+    # Lazy: the sieve stops where the division does.
+    for q in iter_odd_primes(largest) if left > 1 else ():
         if left % q:
             continue
         for i, j, _ in rows:
@@ -224,7 +225,8 @@ def _prime_tables(
                     rough[i] //= q
                 name(q, i, j)
                 prove(i, j)
-        left = math.prod(set(rough))
+        if (left := math.prod(set(rough))) == 1:
+            break
     return kills, [(i, j, r) for (i, j, _), r in zip(rows, rough) if r > 1]
 
 

@@ -17,6 +17,7 @@ from twogen.arith import (
     PM1_WHEEL,
     RHO_SLICE,
     TRIAL_DIVISION_BOUND,
+    _FIRST_SEGMENT,
     _MR_PSI,
     _MR_WITNESSES,
     FactorizationTimeout,
@@ -27,6 +28,7 @@ from twogen.arith import (
     _pm1_cost,
     _pollard_pm1,
     _rho_batches,
+    _WHEEL,
     _WINDOW,
     _stage1_powers,
     class_counts,
@@ -69,6 +71,29 @@ def test_iter_odd_primes_reads_the_odd_primes_lazily():
         assert list(primes) == [p for p in primes_up_to(n) if p != 2], n
 
 
+def test_iter_odd_primes_across_segments():
+    # Bounds on both sides of the ends of the first segments, 2^14, 2^15 and
+    # 2^16, odd and even, and one that is a prime.
+    first = _FIRST_SEGMENT
+    bounds = [first + d for d in range(-2, 4)] + [2 * first + 1, 4 * first, 1_000_003]
+    primes = primes_up_to(bounds[-1])
+    for n in bounds:
+        assert list(iter_odd_primes(n)) == [p for p in primes[1:] if p <= n], n
+
+
+def test_iter_odd_primes_sieves_only_as_far_as_it_reads(monkeypatch):
+    sieved = []
+    flags = twogen.arith._prime_flags
+    monkeypatch.setattr(
+        twogen.arith, "_prime_flags", lambda n: sieved.append(n) or flags(n)
+    )
+    primes = iter_odd_primes(10**7)
+    assert list(itertools.islice(primes, 5)) == [3, 5, 7, 11, 13]
+    assert sieved == [_FIRST_SEGMENT]
+    assert next(itertools.dropwhile(lambda p: p < _FIRST_SEGMENT, primes)) == 16411
+    assert sieved == [_FIRST_SEGMENT, math.isqrt(10**7)]
+
+
 def _class_counts_plain(groups, constant, flags):
     """`class_counts` number by number, at each n with flags[n] set."""
     return [
@@ -78,24 +103,33 @@ def _class_counts_plain(groups, constant, flags):
     ]
 
 
-# Moduli of every size up to three windows, and small even ones, which meet
-# only one parity of n.
+# Moduli of every size up to three windows, small even ones, which meet only
+# one parity of n, and moduli that share 2, 3 or 5 with the wheel, which meet
+# only some of its lanes.
 _MODULI = st.one_of(
     st.integers(1, 3 * _WINDOW),
     st.integers(1, 12).map(lambda h: 2 * h),
     st.integers(1, 3 * _WINDOW // 2).map(lambda h: 2 * h),
+    st.sampled_from([2, 3, 5, 6, 10, 15, 30, 60, 210]),
+    st.integers(1, 3 * _WINDOW // 15).map(lambda h: 15 * h),
 )
 _CLASSES = st.tuples(st.integers(0, 3 * _WINDOW), _MODULI)
 
 
 @st.composite
 def _sweep_flags(draw):
-    """Flags over up to four windows: odd n only, so every window is laid
-    out on its odd integers, or n of both parities, with repeats drawn."""
+    """Flags over up to four windows, with repeats drawn: n of any residue
+    mod _WHEEL, odd n only, or n of a few residues mod _WHEEL only, so a
+    window lays out all its lanes, the odd ones, a few or one."""
     numbers = draw(st.lists(st.integers(0, 4 * _WINDOW), min_size=1, max_size=40))
-    if draw(st.booleans()):
-        numbers = [n | 1 for n in numbers]
-    return flags_of(numbers)
+    residues = draw(
+        st.one_of(
+            st.just(range(_WHEEL)),
+            st.just(range(1, _WHEEL, 2)),
+            st.lists(st.integers(0, _WHEEL - 1), min_size=1, max_size=3),
+        )
+    )
+    return flags_of(n - n % _WHEEL + residues[n % len(residues)] for n in numbers)
 
 
 @settings(max_examples=150, deadline=None)
@@ -131,7 +165,7 @@ _EDGE_GROUPS = [
 def test_class_counts_at_window_edges():
     # Every number next to the first three window edges, against classes
     # that start, end or step over a window: all of them, so every window
-    # is laid out on all its integers, and the odd ones alone.
+    # has its lanes at both ends, and the odd ones alone.
     edges = (0, _WINDOW, 2 * _WINDOW)
     numbers = [e + d for e in edges for d in (-2, -1, 0, 1) if e + d >= 0]
     for swept in (numbers, [n for n in numbers if n % 2]):
@@ -142,9 +176,9 @@ def test_class_counts_at_window_edges():
 
 
 def test_class_counts_lay_out_each_window_on_its_own():
-    # Window 0 flags only odd n and is laid out on them; window 1 flags
-    # one even n and is laid out on all its integers; window 2 is empty;
-    # window 3 flags only odd n again.  Even q meet one parity only.
+    # Window 0 flags 5 odd n, on 4 lanes; window 1 flags one even n among
+    # odd ones, on 3 lanes; window 2 is empty; window 3 flags 2 odd n, on 2
+    # lanes.  Even q meet one parity only.
     numbers = [1, 3, 9, 15, _WINDOW - 1]
     numbers += [_WINDOW + 1, _WINDOW + 4, 2 * _WINDOW - 1]
     numbers += [3 * _WINDOW + 1, 3 * _WINDOW + 7]
@@ -155,12 +189,53 @@ def test_class_counts_lay_out_each_window_on_its_own():
     assert class_counts(groups, 0, flags)[6] == 5  # n = 2^16 + 4: only (0, 2) hits it
 
 
+# Classes whose q shares 2, 3 or 5 with the wheel, so each meets only some
+# lanes, q prime to it, and q above the window.
+_WHEEL_GROUPS = [
+    [(0, 6)],
+    [(5, 10), (7, 15)],
+    [(29, 30)],
+    [(1, 60), (59, 210)],
+    [(3, 2), (4, 5)],
+    [(10, 15), (2, 3)],
+    [(11, 7), (0, 13)],
+    [(2 * _WINDOW + 5, 2 * _WINDOW + 15)],
+    [(_WINDOW + 31, 3 * _WINDOW), (_WINDOW - 1, _WINDOW + 1)],
+]
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [
+        pytest.param([*range(400), *range(_WINDOW - 200, _WINDOW + 200)], id="every n"),
+        pytest.param(
+            [n for n in range(2 * _WINDOW + 500) if n % 3 == 0 or n % 5 == 0][::7],
+            id="multiples of 3 and 5",
+        ),
+        pytest.param(
+            [*range(11, _WINDOW, 150), *range(_WINDOW + 7, 2 * _WINDOW, 90)], id="one lane"
+        ),
+        pytest.param(
+            [n for n in range(2 * _WINDOW + 500) if n % _WHEEL in (1, 7, 20, 25)][::3],
+            id="some lanes",
+        ),
+        pytest.param(odd_primes_up_to(2 * _WINDOW + 1000), id="odd primes"),
+    ],
+)
+def test_class_counts_on_the_lanes_of_the_wheel(numbers):
+    flags = flags_of(numbers)
+    assert class_counts(_WHEEL_GROUPS, 3, flags) == _class_counts_plain(
+        _WHEEL_GROUPS, 3, flags
+    )
+
+
 def _no_carry_cases(size: int, constant: int):
     """`size` groups, each but the last hit at 2 mod 5 and the last at 0, and
     the counts `class_counts` must give on top of `constant`, at odd n
-    only and at n of both parities: up to constant + size."""
+    only and at n of both parities: up to constant + size.  61 and 91 give
+    their lane rows whose other lanes flag nothing."""
     groups = [[(2, 5)]] * (size - 1) + [[(0, 5)]]
-    odd = [1, 3, 5, 7, 9, 11, 13, _WINDOW + 3]
+    odd = [1, 3, 5, 7, 9, 11, 13, 61, 91, _WINDOW + 3]
     for numbers in (odd, odd + [2, 12]):
         flags = flags_of(numbers)
         want = _class_counts_plain(groups, constant, flags)
@@ -168,18 +243,23 @@ def _no_carry_cases(size: int, constant: int):
         yield groups, flags, want
 
 
-@pytest.mark.parametrize("size", [255, 256, 300, 65_535, 65_536])
+@pytest.mark.parametrize("size", [246, 247, 248, 255, 256, 300, 65_535, 65_536])
 def test_class_counts_digits_do_not_carry(size):
     # Counts near the top of a byte and of two bytes, which must not carry
-    # into a neighbour.
+    # into a neighbour: 253 and 254 (7 + 247) are the last one-byte counts,
+    # below the 0xFF that marks an unflagged n, and 255 the first two-byte
+    # one.
     for groups, flags, want in _no_carry_cases(size, 7):
         assert class_counts(groups, 7, flags) == want
 
 
-@pytest.mark.parametrize("size, constant", [(5, 250), (5, 251), (6, 65_529), (6, 65_530)])
+@pytest.mark.parametrize(
+    "size, constant", [(5, 248), (5, 249), (5, 250), (5, 251), (6, 65_529), (6, 65_530)]
+)
 def test_class_counts_fold_the_constant_into_the_digits(size, constant):
-    # The constant alone takes the counts to 255 and past it (251 + 5), and
-    # to 65,535 and past it (65,530 + 6), so it sets the digit width too.
+    # The constant alone takes the counts to 253, 254 (249 + 5, the last
+    # one-byte count), 255 and past it, and to 65,535 and past it
+    # (65,530 + 6), so it sets the digit width too.
     for groups, flags, want in _no_carry_cases(size, constant):
         assert class_counts(groups, constant, flags) == want
 

@@ -17,6 +17,7 @@ from twogen.counting import (
     _surviving_exponents,
     count_prime_power,
     count_special,
+    odd_prime_flags,
     row_modulus,
     special_factorizations,
     surviving_exponents,
@@ -413,6 +414,17 @@ def test_surviving_exponents_match_the_plain_gcds(ks, primes_of):
         plain = [_surviving_exponents_plain(p, k) for p in primes]
         assert [_surviving_exponents(p, k) for p in primes] == plain, k
         assert _survivor_counts(flags_of(primes), k) == list(map(len, plain)), k
+
+
+@pytest.mark.parametrize("k", [253, 254])
+def test_survivor_counts_at_the_digit_width_boundary(k):
+    # The most rows surviving at one p, 254 at k = 253, is the last count a
+    # one-byte digit holds below the 0xFF that marks an unflagged n; 255 at
+    # k = 254 is the first that needs two bytes.  Both sweeps keep 173-174
+    # rows in the rough screen too.
+    want = [len(_surviving_exponents(p, k)) for p in odd_primes_up_to(3000)]
+    assert max(want) == k + 1
+    assert _survivor_counts(odd_prime_flags(3000), k) == want
 
 
 def test_surviving_exponents_match_the_plain_gcds_at_700_bits():
