@@ -14,14 +14,7 @@ used (PEP 562), so a `twogen` process pays only for the layers it runs.
 import importlib
 
 _EXPORTS = {
-    "arith": (
-        "Factorization",
-        "FactorizationTimeout",
-        "divisors",
-        "factorize",
-        "is_prime",
-        "primitive_root",
-    ),
+    "arith": ("primitive_root",),
     "counting": (
         "NotOddPrime",
         "count_prime_power",
@@ -31,6 +24,7 @@ _EXPORTS = {
         "surviving_exponents",
     ),
     "factor_cache": ("FactorCache", "ParseError"),
+    "factoring": ("Factorization", "FactorizationTimeout", "divisors", "factorize"),
     "indicators": (
         "Indicator",
         "decompose",
@@ -39,6 +33,7 @@ _EXPORTS = {
         "strip_exponent",
     ),
     "modulus": ("ModulusReport", "dependence_check", "modulus_of"),
+    "primes": ("is_prime",),
     "reduction": (
         "EuclideanTrace",
         "ReducedGcd",

@@ -14,10 +14,11 @@ import sys
 
 # The layers of M(k) are imported here; every other layer, and json, is
 # imported by the command that runs it, so `twogen modulus` loads no more.
-from .arith import FactorizationTimeout, check_prime_bound
 from .counting import special_factorizations, surviving_exponents
 from .factor_cache import FactorCache, format_factors
+from .factoring import FactorizationTimeout
 from .modulus import dependence_check, modulus_of
+from .primes import check_prime_bound
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -22,23 +22,24 @@ A sweep over many primes reads the rows prime by prime of m instead: the
 row gcd is 1 exactly when no prime q of m divides both p^i + 1 and
 2 p^j + 1.  For each q the sweep names, that depends only on p mod q, so
 each row has a list of kill classes x mod q.  A sweep takes the sieve's
-flags, a bytearray with byte p set at each swept prime (`odd_prime_flags`),
-and `arith.class_counts` lays each window out on the residues mod 30 it
-flags (8 for the primes above 5), applies each class to each of them with
-one slice and reads the surviving rows back at the flagged p, so no list
-of the primes is built unless a row keeps a rough part (below).  The
-sweep names q by trial division up to the largest swept prime, with the
-primes sieved only as far as the division reads them, and, as soon as
-`arith.is_prime` proves it prime (it is exact below 3.317e24, Sorenson
-and Webster 2017), by the cofactor left of a row; a cofactor above every
-swept prime can only hit p = x.  The classes
+flags, a bytearray with byte p set at each swept prime
+(`primes.odd_prime_flags`), and `primes.class_counts` lays each window out
+on the residues mod 30 it flags (8 for the primes above 5), applies each
+class to each of them with one slice and reads the surviving rows back at
+the flagged p, so no list of the primes is built unless a row keeps a
+rough part (below).  The sweep names q by trial division by the swept
+primes, read off the same flags only as far as the division goes, and, as
+soon as `primes.is_prime` proves it prime (it is exact below 3.317e24,
+Sorenson and Webster 2017), by the cofactor left of a row; a cofactor
+above every swept prime can only hit p = x.  The classes
 (x^i = -1, 2 x^j = -1 mod q) come from Bezout: with g = gcd(i, j) = u i + v j
 they are empty or the g-th roots of t = (-1)^u (-1/2)^v.  Each row costs
 two powers of t and, when both pass, one call of `arith.power_roots`,
 whose classes are then checked.
 
 What neither way names, the rough part r of m -- a composite of primes
-above the largest swept prime, or a prime too large to prove -- shares one
+the sweep does not flag (above its largest prime, or skipped by a sweep
+that leaves primes out), or a prime too large to prove -- shares one
 screen with the other rows' rough parts, which runs over the list of the
 swept primes.  Over the odd primes up to 2*10^5 no row keeps one at any
 k <= 52, 54, 56 or 60.  Since
@@ -57,17 +58,9 @@ import functools
 import itertools
 import math
 
-from .arith import (
-    _MR_DETERMINISTIC_BELOW,
-    _prime_flags,
-    check_prime_bound,
-    class_counts,
-    divisors,
-    factorize,
-    is_prime,
-    iter_odd_primes,
-    power_roots,
-)
+from .arith import power_roots
+from .factoring import divisors, factorize
+from .primes import _MR_DETERMINISTIC_BELOW, class_counts, is_prime
 
 
 class NotOddPrime(ValueError):
@@ -115,16 +108,6 @@ def row_modulus(k: int, i: int) -> int:
 def _row_table(k: int) -> tuple[tuple[int, int, int], ...]:
     """The rows (i, k - i, row_modulus(k, i)) for 0 <= i <= k."""
     return tuple((i, k - i, row_modulus(k, i)) for i in range(k + 1))
-
-
-def odd_prime_flags(prime_bound: int) -> bytearray:
-    """The flags a sweep over the odd primes p <= prime_bound takes: byte n
-    is 1 exactly when n is an odd prime, for 0 <= n <= prime_bound.  Raises
-    ValueError when no odd prime is that small."""
-    check_prime_bound(prime_bound)
-    flags = _prime_flags(prime_bound)
-    flags[2] = 0
-    return flags
 
 
 def _row_survives(p: int, i: int, j: int, m: int) -> bool:
@@ -177,25 +160,24 @@ def _bad_residues(q: int, i: int, j: int) -> list[int]:
 
 
 def _prime_tables(
-    largest: int, k: int
+    flags: bytes, k: int
 ) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int, int]]]:
-    """The rows of k as `_survivor_counts` sweeps them up to the prime
-    `largest`, the largest it sweeps.
+    """The rows of k as `_survivor_counts` sweeps the odd primes p with
+    flags[p] set.
 
     First, per row i, its kill classes: the (x, q) with q an odd prime of
     the row modulus and x a class at which q divides the row gcd at every
     p = x mod q, in increasing q.  The q are named two ways: by trial
-    division of the odd parts of the row moduli by the odd primes up to
-    `largest`, which stops once nothing is left to divide, and so sieves
-    them only that far; and as a
-    cofactor, what is left of a row's odd part, as soon as `is_prime`
-    proves it prime (it is exact below `_MR_DETERMINISTIC_BELOW`).  A
-    cofactor above `largest` can only hit p = x.  Second, the rows (i, j, r)
-    whose rough part r -- what neither way names: a composite of primes
-    above `largest`, or a prime too large to prove -- is above 1.  The q
-    come from a sieve of their own, never from the swept flags (a sweep
-    that skips the primes of M(k) would lose every class), so both depend
-    only on k and `largest`.
+    division of the odd parts of the row moduli by the swept primes, read
+    off the flags lazily, so the division reads them only until nothing is
+    left to divide; and as a cofactor, what is left of a row's odd part, as
+    soon as `is_prime` proves it prime (it is exact below
+    `_MR_DETERMINISTIC_BELOW`).  A cofactor above the largest swept prime
+    can only hit p = x.  Second, the rows (i, j, r) whose rough part r --
+    what neither way names: a composite of primes the flags do not set, or
+    a prime too large to prove -- is above 1.  A sweep of every odd prime up
+    to its largest one names every q up to it; one that leaves primes out
+    hands theirs to the rough screen, which stays exact.
     """
     rows = _row_table(k)
     rough = [m // (m & -m) for _, _, m in rows]  # row gcds are odd
@@ -215,8 +197,8 @@ def _prime_tables(
     for i, j, _ in rows:
         prove(i, j)
     left = math.prod(set(rough))
-    # Lazy: the sieve stops where the division does.
-    for q in iter_odd_primes(largest) if left > 1 else ():
+    # Lazy: the flags are read only as far as the division goes.
+    for q in itertools.compress(range(len(flags)), flags) if left > 1 else ():
         if left % q:
             continue
         for i, j, _ in rows:
@@ -232,11 +214,11 @@ def _prime_tables(
 
 def _survivor_counts(flags: bytes, k: int) -> list[int]:
     """len(_surviving_exponents(p, k)) at each p with flags[p] set, in
-    increasing order; the flags are 0 or 1.
+    increasing order; the flags are 0 or 1, and set only at odd primes.
 
     A row dies at p exactly when some prime q of its modulus divides both
     p^i + 1 and 2 p^j + 1.  For the q that `_prime_tables` names, that
-    depends on p mod q only: `arith.class_counts` counts the rows that none
+    depends on p mod q only: `primes.class_counts` counts the rows that none
     of their kill classes hits, straight off the flags.  The primes it
     cannot name are in the rough parts r, which share one screen over the
     list of the swept primes, built only when some row has a rough part:
@@ -248,7 +230,7 @@ def _survivor_counts(flags: bytes, k: int) -> list[int]:
     rough prime of the row gcd.  At the primes up to 2*10^5 no rough part is
     left for any k <= 52, 54, 56 or 60.
     """
-    kills, rough = _prime_tables(flags.rfind(1), k)
+    kills, rough = _prime_tables(flags, k)
     groups = [classes for classes in kills if classes]
     counts = class_counts(groups, k + 1 - len(groups), flags)
     if not rough:

@@ -23,7 +23,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .arith import Factorization
+from .factoring import Factorization
 
 
 class ParseError(ValueError):
@@ -108,17 +108,21 @@ class FactorCache:
         return cache
 
     def save(self, path) -> None:
-        """Write all entries sorted by value; atomic via temp file + rename."""
+        """Write all entries sorted by value; atomic via temp file + rename.
+        A failure raises an OSError that names `path` and the reason, never
+        the temp file, whose name changes from run to run."""
         path = Path(path)
         lines = [f"{n} = {format_factors(self._entries[n])}" for n in sorted(self._entries)]
         text = "\n".join(lines) + ("\n" if lines else "")
-        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            raise OSError(f"cannot save the factor cache to {path}: {exc.strerror}") from None
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
         self.dirty = False

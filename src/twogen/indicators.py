@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, power_roots
+from .arith import power_roots
+from .factoring import factorize
+from .primes import is_prime
 
 
 class _IndicatorFields(NamedTuple):

@@ -16,8 +16,9 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .arith import FactorizationTimeout, Factorization, factorize
-from .counting import _survivor_counts, odd_prime_flags, row_modulus
+from .counting import _row_table, _survivor_counts
+from .factoring import FactorizationTimeout, Factorization, factorize
+from .primes import odd_prime_flags
 
 
 class ModulusReport(NamedTuple):
@@ -53,11 +54,12 @@ class DependenceReport(NamedTuple):
 
 
 def _row_moduli(k: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-    """The pairs (i, m_k(i)) for 1 <= i <= k, and the distinct m_k(i) > 1 in
+    """The pairs (i, m_k(i)) for 1 <= i <= k, the rows of
+    `counting._row_table` after row 0, and the distinct m_k(i) > 1 in
     increasing order, the order in which they are factored."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    per_i = tuple((i, row_modulus(k, i)) for i in range(1, k + 1))
+    per_i = tuple((i, m) for i, _, m in _row_table(k)[1:])
     return per_i, sorted({m for _, m in per_i} - {1})
 
 
@@ -80,8 +82,8 @@ def modulus_of(k: int, cache=None) -> ModulusReport:
 def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     """Group odd primes p <= bound (p not dividing M(k)) by p mod M(k) and
     confirm the direct count n(p^k,2) is constant within each group.  The
-    sweep takes the sieve flags of the odd primes with the primes of M(k)
-    zeroed, and reads p off their odd half.  Raises the FactorizationTimeout
+    sweep takes the sieve flags of every odd prime, and the primes of M(k)
+    are skipped as the counts are read back.  Raises the FactorizationTimeout
     of the least unfactored m_k(i), hunting no larger one, and ValueError
     when every odd prime <= bound divides M(k)."""
     flags = odd_prime_flags(prime_bound)
@@ -89,10 +91,7 @@ def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     for m in _row_moduli(k)[1]:
         support.update(p for p, _ in factorize(m, cache).factors)
     m = math.prod(support)
-    for q in support:
-        if q <= prime_bound:
-            flags[q] = 0
-    checked = flags.count(1)
+    checked = flags.count(1) - sum(q <= prime_bound for q in support)
     if not checked:
         raise ValueError(
             f"no odd prime <= {prime_bound} is prime to M({k}) = {m}"
@@ -101,6 +100,8 @@ def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     violations = []
     primes = itertools.compress(range(1, prime_bound + 1, 2), flags[1::2])
     for p, value in zip(primes, _survivor_counts(flags, k)):
+        if m % p == 0:
+            continue
         residue = p % m
         expected = classes.setdefault(residue, value)
         if value != expected:

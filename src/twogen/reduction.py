@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import check_prime_bound, odd_primes_up_to
+from .primes import check_prime_bound, odd_primes_up_to
 
 
 class EuclideanTrace(NamedTuple):

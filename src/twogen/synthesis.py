@@ -18,9 +18,10 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .arith import FactorizationTimeout, class_counts
-from .counting import _survivor_counts, odd_prime_flags
+from .counting import _survivor_counts
+from .factoring import FactorizationTimeout
 from .indicators import Indicator, _sort_key, reduce_power
+from .primes import class_counts, odd_prime_flags
 from .reduction import normalize_target, reduce
 
 

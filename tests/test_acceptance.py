@@ -8,7 +8,7 @@ import math
 import re
 
 from twogen import cli
-from twogen.arith import odd_primes_up_to
+from twogen.primes import odd_primes_up_to
 from twogen.counting import count_prime_power, count_special
 from twogen.indicators import Indicator, decompose, expand_power, strip_exponent
 from twogen.modulus import dependence_check

@@ -10,16 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import twogen.arith
-from twogen.arith import (
+import twogen.factoring
+from twogen.arith import power_roots, primitive_root
+from twogen.factoring import (
     PM1_B1,
     PM1_B2,
     PM1_WHEEL,
     RHO_SLICE,
     TRIAL_DIVISION_BOUND,
-    _FIRST_SEGMENT,
-    _MR_PSI,
-    _MR_WITNESSES,
     FactorizationTimeout,
     Factorization,
     _advance,
@@ -28,18 +26,19 @@ from twogen.arith import (
     _pm1_cost,
     _pollard_pm1,
     _rho_batches,
-    _WHEEL,
-    _WINDOW,
     _stage1_powers,
-    class_counts,
     divisors,
     factorize,
+)
+from twogen.primes import (
+    _MR_PSI,
+    _MR_WITNESSES,
+    _WHEEL,
+    _WINDOW,
+    class_counts,
     is_prime,
-    iter_odd_primes,
     odd_primes_up_to,
-    power_roots,
     primes_up_to,
-    primitive_root,
 )
 
 from sweep_flags import flags_of
@@ -62,36 +61,6 @@ def test_is_prime_agrees_with_sieve():
 def test_odd_primes_are_the_primes_without_2():
     for n in range(1001):
         assert odd_primes_up_to(n) == [p for p in primes_up_to(n) if p != 2], n
-
-
-def test_iter_odd_primes_reads_the_odd_primes_lazily():
-    for n in range(-1, 1001):
-        primes = iter_odd_primes(n)
-        assert not isinstance(primes, list)
-        assert list(primes) == [p for p in primes_up_to(n) if p != 2], n
-
-
-def test_iter_odd_primes_across_segments():
-    # Bounds on both sides of the ends of the first segments, 2^14, 2^15 and
-    # 2^16, odd and even, and one that is a prime.
-    first = _FIRST_SEGMENT
-    bounds = [first + d for d in range(-2, 4)] + [2 * first + 1, 4 * first, 1_000_003]
-    primes = primes_up_to(bounds[-1])
-    for n in bounds:
-        assert list(iter_odd_primes(n)) == [p for p in primes[1:] if p <= n], n
-
-
-def test_iter_odd_primes_sieves_only_as_far_as_it_reads(monkeypatch):
-    sieved = []
-    flags = twogen.arith._prime_flags
-    monkeypatch.setattr(
-        twogen.arith, "_prime_flags", lambda n: sieved.append(n) or flags(n)
-    )
-    primes = iter_odd_primes(10**7)
-    assert list(itertools.islice(primes, 5)) == [3, 5, 7, 11, 13]
-    assert sieved == [_FIRST_SEGMENT]
-    assert next(itertools.dropwhile(lambda p: p < _FIRST_SEGMENT, primes)) == 16411
-    assert sieved == [_FIRST_SEGMENT, math.isqrt(10**7)]
 
 
 def _class_counts_plain(groups, constant, flags):
@@ -459,7 +428,7 @@ def test_factorize_2_101_minus_1_within_reduced_budget(monkeypatch):
     # Rho on x^202 + c needs 3.24 million squarings here, plain x^2 + c
     # about 7.2 million.  p-1 would split it well inside the budget, so it
     # is priced out: the rho map alone has to succeed.
-    monkeypatch.setattr(twogen.arith, "_pm1_cost", lambda e: 10**18)
+    monkeypatch.setattr(twogen.factoring, "_pm1_cost", lambda e: 10**18)
     fact = factorize(2**101 - 1, max_iterations=3_500_000)
     assert fact.factors == ((7432339208719, 1), (341117531003194129, 1))
 
@@ -605,7 +574,7 @@ def test_factorize_timeout_names_the_stage():
 
 def test_factorize_with_pm1_before_rho_matches_plain_oracle(monkeypatch):
     # With no rho slice, p-1 is the first hunt on every composite piece.
-    monkeypatch.setattr(twogen.arith, "RHO_SLICE", 0)
+    monkeypatch.setattr(twogen.factoring, "RHO_SLICE", 0)
     for m in range(1, 81):
         for n in (2**m - 1, 2**m + 1):
             assert factorize(n).factors == _factorize_plain(n), n
@@ -654,7 +623,7 @@ def test_small_primes_are_stripped_before_rho(small):
 def test_cached_reads_do_not_build_the_small_prime_product():
     from twogen.factor_cache import FactorCache
 
-    build = twogen.arith._small_prime_product
+    build = twogen.factoring._small_prime_product
     cache = FactorCache()
     cache.put(Factorization(15, ((3, 1), (5, 1))))
     build.cache_clear()
@@ -664,8 +633,8 @@ def test_cached_reads_do_not_build_the_small_prime_product():
     assert build.cache_info().currsize == 1
     assert build() == math.prod(odd_primes_up_to(TRIAL_DIVISION_BOUND))
     # Nor does importing the module, in a fresh interpreter.
-    code = "import twogen.arith as a; print(a._small_prime_product.cache_info().currsize)"
-    src = str(Path(twogen.arith.__file__).resolve().parents[1])
+    code = "import twogen.factoring as f; print(f._small_prime_product.cache_info().currsize)"
+    src = str(Path(twogen.factoring.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,

@@ -14,7 +14,7 @@ from jsonschema import validate
 from twogen import cli
 from twogen import modulus as modulus_mod
 from twogen import synthesis as synthesis_mod
-from twogen.arith import FactorizationTimeout, factorize
+from twogen.factoring import FactorizationTimeout, factorize
 from twogen.factor_cache import FactorCache
 from twogen.semigroup import count_two_generator, enumerate_by_genus
 from twogen.synthesis import FormulaCheck, SynthesisBlocked
@@ -431,7 +431,7 @@ def _modules_loaded_by(tmp_path, *argv):
 def test_modulus_loads_only_its_layers(tmp_path):
     modulus_path = [
         "twogen", "twogen.arith", "twogen.cli", "twogen.counting",
-        "twogen.factor_cache", "twogen.modulus",
+        "twogen.factor_cache", "twogen.factoring", "twogen.modulus", "twogen.primes",
     ]
     assert _modules_loaded_by(tmp_path, "modulus", "--k", "8") == (0, modulus_path, [])
     assert _modules_loaded_by(tmp_path, "modulus", "--k", "8", "--json") == (
@@ -489,6 +489,22 @@ def test_cache_file_persisted(capsys, tmp_path):
     code = cli.main(["modulus", "--k", "7", "--factor-cache", str(path)])
     capsys.readouterr()
     assert path.read_text() == text
+
+
+def test_a_failed_cache_save_names_the_path(capsys, tmp_path):
+    # The result is printed, then the save fails: the same stderr on every
+    # run, naming the --factor-cache path rather than the temp file.
+    path = tmp_path / "missing" / "factors.txt"
+    runs = []
+    for _ in range(2):
+        code = cli.main(["modulus", "--k", "9", "--factor-cache", str(path)])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 2
+    assert out.endswith("M(9) = 30998055 = 3 * 5 * 11 * 17 * 43 * 257\n")
+    assert err == f"error: cannot save the factor cache to {path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_blocked_command_keeps_what_it_factored(capsys, tmp_path, monkeypatch):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twogen.arith import _MR_DETERMINISTIC_BELOW, factorize, is_prime, odd_primes_up_to
+from twogen.factoring import factorize
+from twogen.primes import _MR_DETERMINISTIC_BELOW, is_prime, odd_prime_flags, odd_primes_up_to
+import twogen.counting as counting_mod
 from twogen.factor_cache import FactorCache
 from twogen.counting import (
     NotOddPrime,
@@ -17,12 +19,11 @@ from twogen.counting import (
     _surviving_exponents,
     count_prime_power,
     count_special,
-    odd_prime_flags,
     row_modulus,
     special_factorizations,
     surviving_exponents,
 )
-from twogen.modulus import modulus_of
+from twogen.modulus import dependence_check, modulus_of
 from twogen.reduction import reduce
 from twogen.semigroup import count_two_generator, enumerate_by_genus
 from twogen.synthesis import synthesize
@@ -189,7 +190,7 @@ def _dependence_primes(k: int) -> list[int]:
 def _table_primes(primes, k: int) -> list[int]:
     """The primes q of the kill classes `_survivor_counts` applies when it
     sweeps `primes`."""
-    return sorted({q for classes in _prime_tables(primes[-1], k)[0] for _, q in classes})
+    return sorted({q for classes in _prime_tables(flags_of(primes), k)[0] for _, q in classes})
 
 
 def test_the_table_boundary_cases_straddle_a_row_modulus():
@@ -204,17 +205,17 @@ def test_the_prime_table_cases_straddle_a_table():
     # whole, a composite rough part; from 23 on, its cofactor 89 is proven
     # prime, so a sweep that ends below 89 (or 127) names the same classes
     # as one that ends at it.
-    assert (11, 1, 2047) in _prime_tables(odd_primes_up_to(19)[-1], 12)[1]
+    assert (11, 1, 2047) in _prime_tables(odd_prime_flags(19), 12)[1]
     assert not {23, 89} & set(_table_primes(odd_primes_up_to(19), 12))
     assert math.gcd(2047, 2 * 11**12 - 1) == 23  # p = 11 fails the screen
-    tables = _prime_tables(odd_primes_up_to(23)[-1], 12)
+    tables = _prime_tables(odd_prime_flags(23), 12)
     assert tables[1] == []
     assert {23, 89, 127} <= set(_table_primes(odd_primes_up_to(23), 12))
     for last in (83, 89, 113, 127, 20_000):
-        assert _prime_tables(odd_primes_up_to(last)[-1], 12) == tables, last
+        assert _prime_tables(odd_prime_flags(last), 12) == tables, last
     # k = 20: row 13 has the prime modulus 8191, above the last prime 8179
     # of the sweep, and its class 6143 mod 8191 hits the swept prime 6143.
-    assert (6143, 8191) in _prime_tables(_BELOW_8191[-1], 20)[0][13]
+    assert (6143, 8191) in _prime_tables(flags_of(_BELOW_8191), 20)[0][13]
     assert 6143 in _BELOW_8191
 
 
@@ -256,12 +257,12 @@ def test_tables_list_the_factors_of_the_derived_rows():
     # factors X(a,q) the derivation lists for it, at every k <= 60 but the
     # five whose rough parts keep a composite of two primes above 2*10^5.
     # There, a row's kill classes are those of its other primes.
-    primes = odd_primes_up_to(200_000)
-    assert len(primes) == 17_983
+    flags = odd_prime_flags(200_000)
+    assert flags.count(1) == 17_983
     cache = FactorCache()
     rough_ks = []
     for k in range(1, 61):
-        kills, rough = _prime_tables(primes[-1], k)
+        kills, rough = _prime_tables(flags, k)
         killed = {i: set(classes) for i, classes in enumerate(kills)}
         assert all(len(set(classes)) == len(classes) for classes in kills), k
         derived = {i: set() for i in range(k + 1)}
@@ -279,12 +280,12 @@ def test_tables_list_the_factors_of_the_derived_rows():
 def test_no_rough_part_is_left_up_to_k_52():
     # Trial division to the last prime and the proven cofactors name every
     # row prime, so `_survivor_counts` runs no screen at these k.
-    primes = odd_primes_up_to(200_000)
+    flags = odd_prime_flags(200_000)
     for k in [*range(1, 53), 54, 56, 60]:
-        assert _prime_tables(primes[-1], k)[1] == [], k
+        assert _prime_tables(flags, k)[1] == [], k
     # 2^89 - 1, a prime of 27 digits above the bound of the proven
     # Miller-Rabin bases, stays in the screen.
-    assert (89, 1, 2**89 - 1) in _prime_tables(primes[-1], 90)[1]
+    assert (89, 1, 2**89 - 1) in _prime_tables(flags, 90)[1]
     assert 2**89 - 1 > _MR_DETERMINISTIC_BELOW
 
 
@@ -334,15 +335,27 @@ def test_bad_residues_match_sympy_at_large_row_primes():
     assert (len(checked), sum(checked)) == (45, 44)
 
 
-def test_tables_do_not_depend_on_the_primes_swept():
-    # `dependence_check` sweeps only primes that do not divide M(k), so the
-    # primes of its kill classes must not come from the swept list.
+def test_dependence_check_builds_the_tables_of_a_dense_sweep(monkeypatch):
+    # The trial divisors of the tables are the swept primes, so
+    # `dependence_check` sweeps every odd prime and skips the primes of M(k)
+    # only as it reads the counts back: flags without them would hand their
+    # rows to the rough screen.
+    built = []
+    real = counting_mod._prime_tables
+    monkeypatch.setattr(
+        counting_mod, "_prime_tables", lambda flags, k: built.append(real(flags, k)) or built[-1]
+    )
+    small = math.prod(odd_primes_up_to(10**4))
     for k in (9, 60):
-        swept = _dependence_primes(k)
-        plain = _PRIMES[: len(swept)]
-        assert swept != plain
-        assert _table_primes(swept, k)
-        assert _prime_tables(swept[-1], k) == _prime_tables(plain[-1], k), k
+        built.clear()
+        dependence_check(k, 10**4)
+        dense = real(odd_prime_flags(10**4), k)
+        assert built == [dense], k
+        # No rough part keeps a prime the sweep could have named.
+        assert all(math.gcd(r, small) == 1 for _, _, r in dense[1]), k
+        thinned = real(flags_of(_dependence_primes(k)), k)
+        assert any(math.gcd(r, small) > 1 for _, _, r in thinned[1]), k
+    assert real(odd_prime_flags(10**4), 9)[1] == []
 
 
 def _screen_hits(k: int) -> list[int]:
@@ -360,10 +373,10 @@ def _screen_hits(k: int) -> list[int]:
 def _rough_hits(k: int) -> list[int]:
     """The primes p of `_PRIMES` with gcd(L, 2 p^k - 1) != 1, L the lcm of
     the rough parts of a sweep of `_PRIMES`: the primes at which
-    `_survivor_counts` tests its rough parts one by one.  A list that ends
-    lower divides fewer primes out of each rough part, so these primes stay
+    `_survivor_counts` tests its rough parts one by one.  A sweep of fewer
+    primes divides fewer primes out of each rough part, so these primes stay
     in the fallback when swept on their own."""
-    lcm = math.lcm(*(r for _, _, r in _prime_tables(_PRIMES[-1], k)[1]))
+    lcm = math.lcm(*(r for _, _, r in _prime_tables(flags_of(_PRIMES), k)[1]))
     hits = [p for p in _PRIMES if math.gcd(lcm, 2 * pow(p, k, lcm) - 1) != 1]
     assert hits
     return hits
@@ -399,7 +412,7 @@ _WINDOW_EDGE_PRIMES = [
             [90], lambda k: odd_primes_up_to(200_000)[-300:], id="unproven prime cofactor"
         ),
         pytest.param(range(2, 10), _dependence_primes, id="dependence"),
-        # the first and last primes of the windows of `arith.class_counts`
+        # the first and last primes of the windows of `primes.class_counts`
         pytest.param(
             [9, 30, 60], lambda k: [65521, 65537, 131071, 131101], id="window edges"
         ),

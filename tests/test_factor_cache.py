@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import twogen.arith
-from twogen.arith import Factorization, FactorizationTimeout, factorize
+import twogen.factoring
+from twogen.factoring import Factorization, FactorizationTimeout, factorize
 from twogen.factor_cache import FactorCache, ParseError
-from twogen.modulus import row_modulus
+from twogen.counting import row_modulus
 
 
 def test_load_valid_file(tmp_path):
@@ -75,13 +75,13 @@ def test_load_rejects_a_repeated_non_prime_at_its_first_line(tmp_path):
 
 def test_load_proves_each_distinct_prime_once(tmp_path, monkeypatch):
     proven = []
-    real = twogen.arith.is_prime
+    real = twogen.factoring.is_prime
 
     def counting(n):
         proven.append(n)
         return real(n)
 
-    monkeypatch.setattr(twogen.arith, "is_prime", counting)
+    monkeypatch.setattr(twogen.factoring, "is_prime", counting)
     path = tmp_path / "factors.txt"
     path.write_text("10 = 2 * 5\n15 = 3 * 5\n30 = 2 * 3 * 5\n513 = 3^3 * 19\n")
     assert len(FactorCache.load(path)) == 4
@@ -89,6 +89,26 @@ def test_load_proves_each_distinct_prime_once(tmp_path, monkeypatch):
     proven.clear()
     FactorCache.load(path)  # a new load proves them again
     assert sorted(proven) == [2, 3, 5, 19]
+
+
+@pytest.mark.parametrize("name", ["missing/factors.txt", "directory"])
+def test_a_failed_save_names_the_path_and_leaves_no_temp_file(tmp_path, name):
+    # A missing directory fails at the temp file, a directory at the path
+    # fails at the rename after it; neither message names the temp file.
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / name
+    cache = FactorCache()
+    cache.put(Factorization(10, ((2, 1), (5, 1))))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(OSError) as info:
+            cache.save(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"cannot save the factor cache to {path}: ")
+    assert ".tmp" not in messages[0]
+    assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+    assert cache.dirty
 
 
 def test_save_format(tmp_path):

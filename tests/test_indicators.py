@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from twogen.arith import primes_up_to, primitive_root
+from twogen.arith import primitive_root
+from twogen.primes import primes_up_to
 from twogen.indicators import (
     Indicator,
     _sort_key,

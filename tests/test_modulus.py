@@ -3,9 +3,10 @@ import math
 import pytest
 
 from twogen import modulus as modulus_mod
-from twogen.arith import FactorizationTimeout, factorize, odd_primes_up_to
-from twogen.counting import _surviving_exponents
-from twogen.modulus import DependenceReport, dependence_check, modulus_of, row_modulus
+from twogen.counting import _surviving_exponents, row_modulus
+from twogen.factoring import FactorizationTimeout, factorize
+from twogen.modulus import DependenceReport, dependence_check, modulus_of
+from twogen.primes import odd_primes_up_to
 
 TABLE_1_TO_10 = [3, 3, 15, 21, 255, 465, 36465, 82677, 30998055, 16548735]
 

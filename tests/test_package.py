@@ -69,17 +69,28 @@ def test_every_layer_imports_without_site_packages():
     # every layer loads every twogen module and nothing fails, so a stray
     # import of a test dependency (sympy, hypothesis) in src is caught here.
     layers = ("cli", "synthesis", "semigroup", "reduction", "indicators",
-              "modulus", "factor_cache", "counting", "arith")
+              "modulus", "factor_cache", "counting", "arith", "factoring", "primes")
     assert _twogen_modules_after_import(", ".join(f"twogen.{m}" for m in layers)) == (
         "['twogen', 'twogen.arith', 'twogen.cli', 'twogen.counting',"
-        " 'twogen.factor_cache', 'twogen.indicators', 'twogen.modulus',"
-        " 'twogen.reduction', 'twogen.semigroup', 'twogen.synthesis']\n"
+        " 'twogen.factor_cache', 'twogen.factoring', 'twogen.indicators',"
+        " 'twogen.modulus', 'twogen.primes', 'twogen.reduction', 'twogen.semigroup',"
+        " 'twogen.synthesis']\n"
     )
 
 
 def test_counting_imports_only_arith():
     # The direct count is an oracle for the reduction: it must not load the
-    # layers it checks.
+    # layers it checks, only the integer layers primes <- factoring <- arith.
     assert _twogen_modules_after_import("twogen.counting") == (
-        "['twogen', 'twogen.arith', 'twogen.counting']\n"
+        "['twogen', 'twogen.arith', 'twogen.counting', 'twogen.factoring', 'twogen.primes']\n"
+    )
+
+
+def test_primes_import_no_other_layer():
+    assert _twogen_modules_after_import("twogen.primes") == "['twogen', 'twogen.primes']\n"
+
+
+def test_factoring_imports_only_primes():
+    assert _twogen_modules_after_import("twogen.factoring") == (
+        "['twogen', 'twogen.factoring', 'twogen.primes']\n"
     )

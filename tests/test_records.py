@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from twogen.arith import Factorization
+from twogen.factoring import Factorization
 from twogen.indicators import Indicator
 from twogen.modulus import DependenceReport, ModulusReport
 from twogen.reduction import (

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twogen.arith import odd_primes_up_to
+from twogen.primes import odd_primes_up_to
 from twogen.reduction import (
     euclidean_trace,
     normalize_target,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from twogen import arith
 from twogen import indicators as indicators_mod
-from twogen.arith import FactorizationTimeout, class_counts, odd_primes_up_to
+from twogen.factoring import FactorizationTimeout
+from twogen.primes import class_counts, odd_primes_up_to
 from twogen.counting import _surviving_exponents, count_prime_power
 from twogen.factor_cache import FactorCache
 from twogen.indicators import Indicator
@@ -237,7 +238,7 @@ def test_minimal_modulus_k10():
 
 def _minimal_modulus_brute(formula):
     """Directly scan residues coprime to the natural modulus, per divisor."""
-    from twogen.arith import divisors, factorize
+    from twogen.factoring import divisors, factorize
 
     n = formula.natural_modulus
     if n == 1:
@@ -421,7 +422,7 @@ def _class_values(formula: CountingFormula, numbers) -> list[int]:
 
 
 def test_class_counts_match_evaluate_on_derived_formulas():
-    primes = arith.odd_primes_up_to(10_000)
+    primes = odd_primes_up_to(10_000)
     for k in range(1, 41):
         formula = synthesize(k)
         assert _class_values(formula, primes) == [formula.evaluate(p) for p in primes]
@@ -431,7 +432,7 @@ def test_class_counts_read_the_classes_above_the_sweep():
     # Every q above the largest swept prime hits at most one swept integer,
     # its class a itself.  The mutant moves the residue of one such q onto a
     # swept prime where its term was 1.
-    primes = arith.odd_primes_up_to(200_000)
+    primes = odd_primes_up_to(200_000)
     largest = primes[-1]
     for k in (30, 60):
         formula = synthesize(k)
