@@ -197,8 +197,10 @@ def _prime_tables(
     for i, j, _ in rows:
         prove(i, j)
     left = math.prod(set(rough))
-    # Lazy: the flags are read only as far as the division goes.
-    for q in itertools.compress(range(len(flags)), flags) if left > 1 else ():
+    # Lazy: the flags are read only as far as the division goes, on their
+    # odd half, which holds every swept prime at half the ints to make.
+    odd = range(1, len(flags), 2)
+    for q in itertools.compress(odd, flags[1::2]) if left > 1 else ():
         if left % q:
             continue
         for i, j, _ in rows:
