@@ -10,9 +10,8 @@ import itertools
 import math
 
 from .factoring import factorize
-from .primes import is_prime
-# Not used here: bench/tracing.py wraps twogen.arith.primes_up_to by name.
-from .primes import primes_up_to  # noqa: F401
+# primes_up_to is not used here: bench/tracing.py wraps twogen.arith.primes_up_to.
+from .primes import is_prime, primes_up_to  # noqa: F401
 
 
 def _least_non_residue(q: int, primes: list[int]) -> int:

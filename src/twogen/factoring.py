@@ -30,7 +30,7 @@ import random
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .primes import _prime_flags, is_prime
+from .primes import _prime_flags, is_prime, odd_primes_up_to
 
 TRIAL_DIVISION_BOUND = 10_000
 DEFAULT_RHO_BUDGET = 10_000_000
@@ -348,8 +348,7 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
 def _small_prime_product() -> int:
     """The product of the odd primes up to TRIAL_DIVISION_BOUND, built on
     the first call."""
-    odd = range(3, TRIAL_DIVISION_BOUND + 1, 2)
-    return math.prod(itertools.compress(odd, _prime_flags(TRIAL_DIVISION_BOUND)[3::2]))
+    return math.prod(odd_primes_up_to(TRIAL_DIVISION_BOUND))
 
 
 def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> Factorization:

@@ -54,9 +54,8 @@ class DependenceReport(NamedTuple):
 
 
 def _row_moduli(k: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-    """The pairs (i, m_k(i)) for 1 <= i <= k, the rows of
-    `counting._row_table` after row 0, and the distinct m_k(i) > 1 in
-    increasing order, the order in which they are factored."""
+    """The pairs (i, m_k(i)) for 1 <= i <= k, read off `counting._row_table`,
+    and the distinct m_k(i) > 1 in increasing order, the order they are factored in."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     per_i = tuple((i, m) for i, _, m in _row_table(k)[1:])
