@@ -2,7 +2,8 @@
 pins.json beside this script.
 
 The pinned calls are `derive --json`, `modulus` and `minimal-modulus` at
-every k <= 128, `enumerate --count-only --genus 25` and `verify --k 60
+every k <= 128, `enumerate --count-only --genus 25`, the listing
+`enumerate --genus 20` as text and as --json, and `verify --k 60
 --prime-bound 200000 --json`: every output up to the derivation frontier.
 A refactor must leave them unchanged, so re-record only for a change of
 output that is meant, and say so where the change is logged.
@@ -31,7 +32,12 @@ CALLS = (
     [f"derive --k {k} --json" for k in range(1, FRONTIER + 1)]
     + [f"modulus --k {k}" for k in range(1, FRONTIER + 1)]
     + [f"minimal-modulus --k {k}" for k in range(1, FRONTIER + 1)]
-    + ["enumerate --count-only --genus 25", "verify --k 60 --prime-bound 200000 --json"]
+    + [
+        "enumerate --count-only --genus 25",
+        "enumerate --genus 20",
+        "enumerate --genus 20 --json",
+        "verify --k 60 --prime-bound 200000 --json",
+    ]
 )
 
 
