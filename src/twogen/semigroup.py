@@ -9,8 +9,9 @@ walk of the standard tree, whose children remove one minimal generator
 beyond the Frobenius number; each child's gaps and minimal generators
 follow from its parent's (Fromentin & Hivert, *Exploring the tree of
 numerical semigroups*, 2016).  As there, the walk runs on bit vectors: each
-node is a generator mask and a gap mask, two ints.  The census is the
-independent oracle the rest of the package is validated against.
+node is a generator mask and a gap mask, and a node the census keeps packs
+the two into one int.  The census is the independent oracle the rest of
+the package is validated against.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ class TwoGeneratorSemigroup(_TwoGeneratorFields):
 class SemigroupNode:
     """One census entry: minimal generators, gap set, genus.
 
-    A node holds its generators and gaps as two bitmasks (bit s set iff s
-    is a minimal generator, resp. a gap) and decodes each into an
-    increasing tuple on first read, keeping that tuple.
+    A node of genus g holds its gaps and generators as one packed int: bit
+    s is set iff s is a gap, and bit 2g + 2 + s iff s is a minimal
+    generator.  Both are at most 2g + 1, so the two halves never overlap.
+    The first read of either tuple decodes both, in increasing order, and
+    the node keeps them.
     """
 
-    __slots__ = ("_generator_mask", "_gap_mask", "genus", "_generators", "_gaps")
+    __slots__ = ("_masks", "genus", "_tuples")
 
     def __init__(self, generators: tuple[int, ...], gaps: tuple[int, ...], genus: int):
         if genus != len(gaps):
@@ -67,40 +70,39 @@ class SemigroupNode:
         # Every minimal generator and gap of a genus-g semigroup is <= 2g + 1;
         # the bound also keeps the masks small.
         largest = 2 * len(gaps) + 1
-        _set_generator_mask(self, _mask_of(generators, "generators", largest))
-        _set_gap_mask(self, _mask_of(gaps, "gaps", largest))
+        generator_mask = _mask_of(generators, "generators", largest)
+        gap_mask = _mask_of(gaps, "gaps", largest)
+        _set_masks(self, gap_mask | generator_mask << (largest + 1))
         _set_genus(self, genus)
+
+    def _decoded(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        try:
+            return self._tuples
+        except AttributeError:
+            tuples = (_members(self.generator_mask), _members(self.gap_mask))
+            _set_tuples(self, tuples)
+            return tuples
 
     @property
     def generators(self) -> tuple[int, ...]:
-        try:
-            return self._generators
-        except AttributeError:
-            generators = _members(self._generator_mask)
-            _set_generators(self, generators)
-            return generators
+        return self._decoded()[0]
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        try:
-            return self._gaps
-        except AttributeError:
-            gaps = _members(self._gap_mask)
-            _set_gaps(self, gaps)
-            return gaps
+        return self._decoded()[1]
 
     @property
     def generator_mask(self) -> int:
         """The generators as a bitmask: bit s is set iff s is one of them."""
-        return self._generator_mask
+        return self._masks >> (2 * self.genus + 2)
 
     @property
     def gap_mask(self) -> int:
         """The gaps as a bitmask: bit s is set iff s is a gap."""
-        return self._gap_mask
+        return self._masks & ((1 << (2 * self.genus + 2)) - 1)
 
     def _key(self) -> tuple:
-        return (self._generator_mask, self._gap_mask, self.genus)
+        return (self._masks, self.genus)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -128,19 +130,16 @@ class SemigroupNode:
 
 # The slots' own setters: a census builds 10^5 and more nodes, and these
 # skip the refusing __setattr__ without an object.__setattr__ call per field.
-_set_generator_mask = SemigroupNode._generator_mask.__set__
-_set_gap_mask = SemigroupNode._gap_mask.__set__
+_set_masks = SemigroupNode._masks.__set__
 _set_genus = SemigroupNode.genus.__set__
-_set_generators = SemigroupNode._generators.__set__
-_set_gaps = SemigroupNode._gaps.__set__
+_set_tuples = SemigroupNode._tuples.__set__
 _new_node = object.__new__
 
 
 def _node(gens: int, holes: int, genus: int) -> SemigroupNode:
     """A node from masks the census walk built, so unchecked."""
     node = _new_node(SemigroupNode)
-    _set_generator_mask(node, gens)
-    _set_gap_mask(node, holes)
+    _set_masks(node, holes | gens << (2 * genus + 2))
     _set_genus(node, genus)
     return node
 
@@ -291,4 +290,4 @@ def deepest_level(
 
 def count_two_generator(nodes: list[SemigroupNode]) -> int:
     """How many census entries have a minimal generating set of size exactly 2."""
-    return sum(1 for node in nodes if node._generator_mask.bit_count() == 2)
+    return sum(1 for node in nodes if (node._masks >> (2 * node.genus + 2)).bit_count() == 2)

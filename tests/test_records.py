@@ -198,7 +198,8 @@ def test_records_validate_on_construction():
 def test_census_nodes_are_records():
     nodes = [node for level in enumerate_by_genus(8) for node in level]
     assert len(nodes) == 1 + 1 + 2 + 4 + 7 + 12 + 23 + 39 + 67
-    fields = (*SemigroupNode.__slots__, "generators", "gaps")
+    public = ("generator_mask", "gap_mask", "genus", "generators", "gaps")
+    fields = (*SemigroupNode.__slots__, *public)
 
     def assert_refuses_changes(node):
         for field in fields:

@@ -1,5 +1,7 @@
 import bisect
 import math
+import pickle
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -143,6 +145,55 @@ def test_count_two_generator_examples():
     assert count_two_generator(levels[4]) == 2  # <2,9> and <3,5>
     gens = {n.generators for n in levels[4] if len(n.generators) == 2}
     assert gens == {(2, 9), (3, 5)}
+
+
+def _mask(values):
+    return sum(1 << s for s in values)
+
+
+# Hand-built nodes at the edges of the packing: a gap and a generator at
+# 2g + 1, the constructor's bound, next to a generator at 1, and the genus-0
+# node, whose gap half is empty.
+@pytest.mark.parametrize(
+    "generators, gaps, genus",
+    [((1, 4, 5), (2, 5), 2), ((3, 4, 5), (1, 5), 2), ((7,), (1, 2, 7), 3), ((1,), (), 0)],
+)
+def test_packed_node_edges(generators, gaps, genus):
+    node = SemigroupNode(generators, gaps, genus)
+    assert node.generator_mask == _mask(generators)
+    assert node.gap_mask == _mask(gaps)
+    assert (node.generators, node.gaps, node.genus) == (generators, gaps, genus)
+    assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_genus_zero_node_is_the_census_root():
+    node = SemigroupNode((1,), (), 0)
+    root = enumerate_by_genus(0)[0][0]
+    assert node == root and hash(node) == hash(root)
+    assert (root.generator_mask, root.gap_mask) == (0b10, 0)
+
+
+def test_node_masks_match_their_tuples():
+    for nodes in enumerate_by_genus(10):
+        for node in nodes:
+            assert node.generator_mask == _mask(node.generators)
+            assert node.gap_mask == _mask(node.gaps)
+        assert count_two_generator(nodes) == sum(len(n.generators) == 2 for n in nodes)
+
+
+def test_census_nodes_take_at_most_112_bytes_each():
+    # Node, packed int and list slot come to about 98 bytes on Python
+    # 3.10-3.12.  One int per mask, in a slot of its own, comes to 138-145,
+    # so the bound tells the two layouts apart on each of them.
+    tracemalloc.start()
+    try:
+        levels = enumerate_by_genus(16)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = sum(map(len, levels))
+    assert nodes == 11770
+    assert held / nodes <= 112, held / nodes
 
 
 def test_enumeration_is_deterministic():
