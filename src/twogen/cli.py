@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification sweep found a mismatch, 2 usage or
 domain error, 3 a computation was blocked (factoring budget exhausted or a
-derivation blocked on an unfactored number).  All output is ASCII and all
+derivation blocked on an unfactored number), 141 (128 + SIGPIPE) the
+reader of stdout closed it early, as `| head` does.  All output is ASCII and all
 randomized internals are deterministically seeded, so identical invocations
 produce identical bytes.
 """
@@ -10,6 +11,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # The layers of M(k) are imported here; every other layer, and json, is
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BLOCKED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit_json(payload) -> None:
@@ -435,11 +438,20 @@ def main(argv=None) -> int:
 
     try:
         try:
-            return args.func(args, load_cache)
+            code = args.func(args, load_cache)
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+            return code
         finally:
             # On a timeout too: the next run starts from what was factored.
             if loaded and loaded[0].dirty:
                 loaded[0].save(args.factor_cache)
+    # A BrokenPipeError is an OSError, so it is caught first.  Python flushes
+    # stdout again at exit; pointing it at devnull keeps that flush quiet.
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     # The class of a layer error decides its code: a derivation blocked on a
     # row is a factoring timeout, a genus above the census cap a ValueError.
     except FactorizationTimeout as exc:

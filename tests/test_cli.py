@@ -507,6 +507,31 @@ def test_a_failed_cache_save_names_the_path(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--genus", "16"), ("derive", "--k", "30", "--style", "case-table")],
+    ids=["enumerate", "derive"],
+)
+def test_a_reader_that_stops_early_gets_exit_141(tmp_path, argv):
+    # Both outputs are far larger than a pipe's buffer, so the command is
+    # still writing when the reader closes its end after the first line.
+    src = Path(cli.__file__).resolve().parents[1]
+    cache = tmp_path / "factors.txt"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twogen.cli", *argv, "--factor-cache", str(cache)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert first and err == b""
+    # derive factored from an empty cache and still saved what it factored.
+    assert cache.exists() == (argv[0] == "derive")
+
+
 def test_blocked_command_keeps_what_it_factored(capsys, tmp_path, monkeypatch):
     # verify-dependence factors the row moduli of k = 9 in increasing order,
     # 3, 5, 17, 33, 129 and 257, and stops at the first that times out.
