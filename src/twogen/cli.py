@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 a verification sweep found a mismatch, 2 usage or
 domain error, 3 a computation was blocked (factoring budget exhausted or a
-derivation blocked on an unfactored number), 141 (128 + SIGPIPE) the
-reader of stdout closed it early, as `| head` does.  All output is ASCII and all
+derivation blocked on an unfactored number), 141 (128 + SIGPIPE) the reader
+of stdout closed it early, as `| head` does.  All output is ASCII and all
 randomized internals are deterministically seeded, so identical invocations
 produce identical bytes.
 """

@@ -290,4 +290,5 @@ def deepest_level(
 
 def count_two_generator(nodes: list[SemigroupNode]) -> int:
     """How many census entries have a minimal generating set of size exactly 2."""
-    return sum(1 for node in nodes if (node._masks >> (2 * node.genus + 2)).bit_count() == 2)
+    # A node of genus g has g gap bits, so 2 generators make g + 2 bits in all.
+    return sum(1 for node in nodes if node._masks.bit_count() == node.genus + 2)
