@@ -3,8 +3,11 @@ pins.json beside this script.
 
 The pinned calls are `derive --json`, `modulus` and `minimal-modulus` at
 every k <= 128, `enumerate --count-only --genus 25`, the listing
-`enumerate --genus 20` as text and as --json, and `verify --k 60
---prime-bound 200000 --json`: every output up to the derivation frontier.
+`enumerate --genus 20` as text and as --json, `verify --k 60
+--prime-bound 200000 --json`, the text renderings `derive --rows`
+(factored) and `derive --style flat` at every k <= 128, and `derive
+--style case-table` at every k <= 30: every output up to the derivation
+frontier.
 A refactor must leave them unchanged, so re-record only for a change of
 output that is meant, and say so where the change is logged.
 
@@ -27,6 +30,7 @@ from twogen.factor_cache import FactorCache
 
 PINS = Path(__file__).with_name("pins.json")
 FRONTIER = 128
+CASE_TABLE_K = 30  # past k = 30 the tables run to 166,419 lines (k = 34) and more
 
 CALLS = (
     [f"derive --k {k} --json" for k in range(1, FRONTIER + 1)]
@@ -38,6 +42,9 @@ CALLS = (
         "enumerate --genus 20 --json",
         "verify --k 60 --prime-bound 200000 --json",
     ]
+    + [f"derive --k {k} --rows" for k in range(1, FRONTIER + 1)]
+    + [f"derive --k {k} --style flat" for k in range(1, FRONTIER + 1)]
+    + [f"derive --k {k} --style case-table" for k in range(1, CASE_TABLE_K + 1)]
 )
 
 
