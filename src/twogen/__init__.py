@@ -42,6 +42,7 @@ _EXPORTS = {
         "reduce",
         "verify_reduction",
     ),
+    "rendering": ("render",),
     "semigroup": (
         "BudgetExceeded",
         "NotCoprime",
@@ -58,7 +59,6 @@ _EXPORTS = {
         "ProductTerm",
         "SynthesisBlocked",
         "minimal_modulus",
-        "render",
         "synthesize",
         "verify_formula",
     ),

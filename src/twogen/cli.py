@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 a verification sweep found a mismatch, 2 usage or
-domain error, 3 a computation was blocked (factoring budget exhausted or a
-derivation blocked on an unfactored number), 141 (128 + SIGPIPE) the reader
-of stdout closed it early, as `| head` does.  All output is ASCII and all
+domain error, or memory ran out (a sieve to a huge --prime-bound), 3 a
+computation was blocked (factoring budget exhausted or a derivation blocked
+on an unfactored number), 141 (128 + SIGPIPE) the reader of stdout closed it
+early, as `| head` does.  All output is ASCII and all
 randomized internals are deterministically seeded, so identical invocations
 produce identical bytes.
 """
@@ -231,7 +232,8 @@ def cmd_verify_dependence(args, load_cache) -> int:
 
 
 def cmd_derive(args, load_cache) -> int:
-    from .synthesis import minimal_modulus, render, synthesize
+    from .rendering import render
+    from .synthesis import minimal_modulus, synthesize
 
     formula = synthesize(args.k, load_cache())
     if args.json:
@@ -459,6 +461,10 @@ def main(argv=None) -> int:
         return EXIT_BLOCKED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # Not 1, which would read as a mismatch the sweep found.
+    except MemoryError:
+        print("error: ran out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

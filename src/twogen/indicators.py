@@ -105,3 +105,22 @@ def reduce_power(a: int, q: int, s: int, cache=None) -> tuple[Indicator, ...]:
         for x in decompose(a, q, cache)
         for r in power_roots(x.a, s, x.q)
     )
+
+
+def _residue_model(products) -> dict[int, tuple[list[int], list[int], bool]]:
+    """Per prime of the products (tuples of factors X(a,q)), in increasing
+    order: every residue its factors list, the listed units (nonzero
+    residues), and whether the complement cell -- the units mod q that avoid
+    every listed residue -- is nonempty.  `synthesis.minimal_modulus` keeps
+    the primes that list a unit; the case table of `rendering` gives each
+    prime one option per listed unit, and the complement when it is open."""
+    listed: dict[int, set[int]] = {}
+    for factors in products:
+        for x in factors:
+            listed.setdefault(x.q, set()).add(x.a)
+    model = {}
+    for q in sorted(listed):
+        residues = sorted(listed[q])
+        units = [a for a in residues if a != 0]
+        model[q] = (residues, units, q - 1 > len(units))
+    return model

@@ -87,7 +87,10 @@ def is_prime(n: int) -> bool:
 def _prime_flags(n: int) -> bytearray:
     """Sieve of Eratosthenes: flags[i] == 1 iff i is prime, for 0 <= i <= n,
     n >= 1."""
-    flags = bytearray([1]) * (n + 1)
+    flags = bytearray([1])
+    # In place: where memory runs out, `bytearray([1]) * (n + 1)` also
+    # prints a SystemError on CPython 3.11 besides raising MemoryError.
+    flags *= n + 1
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:

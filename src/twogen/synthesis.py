@@ -8,21 +8,21 @@ indicators at argument p^delta.  Power arguments are stripped down to
 first-power, prime-modulus factors, and the k+1 row contributions are
 collected into a canonical formula: an integer constant plus a multiset of
 indicator products.  The formula is then verifiable against the direct
-count, reducible to its minimal governing modulus, and renderable in flat,
-factored, or case-table form.
+count and reducible to its minimal governing modulus; `rendering` prints it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple
 
 from .counting import _survivor_counts
 from .factoring import FactorizationTimeout
-from .indicators import Indicator, _sort_key, reduce_power
+from .indicators import Indicator, _residue_model, _sort_key, reduce_power
 from .primes import class_counts, odd_prime_flags
 from .reduction import normalize_target, reduce
+# render is not used here: bench/tracing.py wraps twogen.synthesis.render.
+from .rendering import render  # noqa: F401
 
 
 class SynthesisBlocked(FactorizationTimeout):
@@ -41,15 +41,6 @@ class SynthesisBlocked(FactorizationTimeout):
         self.k = k
         self.i = i
         self.modulus = modulus
-
-
-# The most cells `render(..., "case-table")` prints: k = 37, the largest
-# table at k <= 40, has 1,114,156; k = 41 has 8,912,944.
-CASE_TABLE_CELLS = 2_000_000
-
-
-class CaseTableTooLarge(ValueError):
-    """The case table has more than CASE_TABLE_CELLS cells."""
 
 
 class _ProductTermFields(NamedTuple):
@@ -214,22 +205,6 @@ def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
     return FormulaCheck(formula.k, prime_bound, flags.count(1), mismatches)
 
 
-def _residue_model(terms) -> dict[int, tuple[list[int], list[int], bool]]:
-    """Per prime of the terms, in increasing order: every residue its factors
-    list, the listed units (nonzero residues), and whether the complement
-    cell -- the units mod q that avoid every listed residue -- is nonempty."""
-    listed: dict[int, set[int]] = {}
-    for term in terms:
-        for x in term.factors:
-            listed.setdefault(x.q, set()).add(x.a)
-    model = {}
-    for q in sorted(listed):
-        residues = sorted(listed[q])
-        units = [a for a in residues if a != 0]
-        model[q] = (residues, units, q - 1 > len(units))
-    return model
-
-
 def minimal_modulus(formula: CountingFormula) -> int:
     """Smallest divisor m of the natural modulus such that the formula is
     constant on every residue class mod m intersected with the residues
@@ -252,158 +227,9 @@ def minimal_modulus(formula: CountingFormula) -> int:
     constant on the units mod 5.
     """
     result = 1
-    for q, (_, units, open_) in _residue_model(formula.terms).items():
+    for q, (_, units, open_) in _residue_model(t.factors for t in formula.terms).items():
         if not open_:
             raise ValueError(f"the listed units of {q} cover every unit mod {q}")
         if units:
             result *= q
     return result
-
-
-# --- rendering ---------------------------------------------------------
-
-
-def _collapsed(terms: tuple[ProductTerm, ...]) -> list[tuple[ProductTerm, int]]:
-    """Multiset as (term, multiplicity) pairs, canonical order preserved."""
-    return [(term, len(list(group))) for term, group in itertools.groupby(terms)]
-
-
-def _fmt_summand(term: ProductTerm, count: int) -> str:
-    return str(term) if count == 1 else f"{count}*{term}"
-
-
-def _grouped(formula: CountingFormula):
-    """Factor shared single indicators out of the term list.
-
-    Returns (remaining [(term, count)], groups [(factor, inner_const,
-    inner_terms [(cofactor, count)])]).  A factor is pulled when it appears
-    in at least two summands, one of which has another factor to leave
-    behind; this reproduces groupings like X*(3 + Y + Z).
-    """
-    remaining = _collapsed(formula.terms)
-    groups = []
-    all_factors = sorted(
-        {x for term, _ in remaining for x in term.factors}, key=_sort_key
-    )
-    for x in all_factors:
-        members = [(t, c) for t, c in remaining if x in t.factors]
-        if sum(c for _, c in members) < 2:
-            continue
-        if not any(len(t.factors) > 1 for t, _ in members):
-            continue
-        inner_const = sum(c for t, c in members if len(t.factors) == 1)
-        inner: dict[ProductTerm, int] = {}
-        for t, c in members:
-            if len(t.factors) > 1:
-                cofactor = ProductTerm(tuple(f for f in t.factors if f != x))
-                inner[cofactor] = inner.get(cofactor, 0) + c
-        inner_terms = sorted(inner.items(), key=lambda item: _term_key(item[0]))
-        groups.append((x, inner_const, inner_terms))
-        remaining = [(t, c) for t, c in remaining if x not in t.factors]
-    return remaining, groups
-
-
-def _case_table_cells(remaining, groups) -> int:
-    """The cells of the base table and of every adj table that the case
-    table of `_grouped`'s (remaining, groups) prints, without enumerating
-    them: per table, the product over its primes of their options in
-    `_signature_table`."""
-    tables = [remaining] if remaining else []
-    tables += [inner_terms for _, _, inner_terms in groups if inner_terms]
-    cells = 0
-    for table in tables:
-        model = _residue_model(term for term, _ in table)
-        cells += math.prod(len(units) + open_ for _, units, open_ in model.values())
-    return cells
-
-
-def _signature_table(constant: int, term_counts) -> tuple[list[int], list[tuple[tuple[str, ...], int]]]:
-    """Value of constant + sum(term_counts) per residue-signature cell.
-
-    Cells range over, for each involved prime, either one of its listed
-    units or the complement of all its listed residues; '!' marks the
-    complement.
-    """
-    model = _residue_model(term for term, _ in term_counts)
-    options: dict[int, list[tuple[str, int | None]]] = {}
-    for q, (residues, units, open_) in model.items():
-        options[q] = [(str(a), a) for a in units]
-        if open_:
-            options[q].append(("!" + "/".join(str(a) for a in residues), None))
-    primes = list(model)
-    rows = []
-    for combo in itertools.product(*(options[q] for q in primes)):
-        assign = {q: value for q, (_, value) in zip(primes, combo)}
-        total = constant
-        for term, count in term_counts:
-            product = 1
-            for x in term.factors:
-                if assign[x.q] == x.a:
-                    product = 0
-                    break
-            total += count * product
-        rows.append((tuple(label for label, _ in combo), total))
-    return primes, rows
-
-
-def render(formula: CountingFormula, style: str = "factored") -> str:
-    """Render the formula as text: 'flat', 'factored', or 'case-table'."""
-    k = formula.k
-    lhs = f"n(p^{k},2)"
-    if style == "flat":
-        parts = [str(formula.constant)]
-        parts += [_fmt_summand(t, c) for t, c in _collapsed(formula.terms)]
-        return f"{lhs} = {' + '.join(parts)}"
-    if style == "factored":
-        remaining, groups = _grouped(formula)
-        parts = [str(formula.constant)]
-        parts += [_fmt_summand(t, c) for t, c in remaining]
-        for x, inner_const, inner_terms in groups:
-            inner = ([str(inner_const)] if inner_const else []) + [
-                _fmt_summand(t, c) for t, c in inner_terms
-            ]
-            parts.append(f"{x}*({' + '.join(inner)})")
-        return f"{lhs} = {' + '.join(parts)}"
-    if style == "case-table":
-        return _render_case_table(formula)
-    raise ValueError(f"unknown style {style!r}")
-
-
-def _render_case_table(formula: CountingFormula) -> str:
-    remaining, groups = _grouped(formula)
-    lhs = f"n(p^{formula.k},2)"
-    if not formula.terms:
-        return f"{lhs} = {formula.constant}"
-    size = _case_table_cells(remaining, groups)
-    if size > CASE_TABLE_CELLS:
-        raise CaseTableTooLarge(
-            f"the case table for k={formula.k} has {size} cells, more than"
-            f" {CASE_TABLE_CELLS}; use --style factored"
-        )
-    names = [f"adj{j}" for j in range(1, len(groups) + 1)]
-    header = f"{lhs} = base(p)"
-    if names:
-        header += "".join(f" + {name}(p)" for name in names)
-    lines = [header, ""]
-    if remaining:
-        primes, cells = _signature_table(formula.constant, remaining)
-        mods = ", ".join(str(q) for q in primes)
-        lines.append(f"base(p), by the class of p mod ({mods}):")
-        for labels, value in cells:
-            lines.append(f"  ({', '.join(labels)}) -> {value}")
-    else:
-        lines.append(f"base(p) = {formula.constant}")
-    for name, (x, inner_const, inner_terms) in zip(names, groups):
-        lines.append("")
-        condition = f"p = {x.a} (mod {x.q})"
-        if inner_terms:
-            primes, cells = _signature_table(inner_const, inner_terms)
-            mods = ", ".join(str(q) for q in primes)
-            lines.append(
-                f"{name}(p) = 0 when {condition}; otherwise, by the class of p mod ({mods}):"
-            )
-            for labels, value in cells:
-                lines.append(f"  ({', '.join(labels)}) -> {value}")
-        else:
-            lines.append(f"{name}(p) = 0 when {condition}, else {inner_const}")
-    return "\n".join(lines)

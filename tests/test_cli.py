@@ -13,6 +13,7 @@ from jsonschema import validate
 
 from twogen import cli
 from twogen import modulus as modulus_mod
+from twogen import primes as primes_mod
 from twogen import synthesis as synthesis_mod
 from twogen.factoring import FactorizationTimeout, factorize
 from twogen.factor_cache import FactorCache
@@ -383,6 +384,43 @@ def test_usage_errors(capsys, tmp_path):
         assert err == "error: genus 26 exceeds the enumeration cap 25\n"
 
 
+# verify derives the formula, and so factors, before it sieves;
+# verify-dependence sieves first.
+@pytest.mark.parametrize("command, factored", [("verify", True), ("verify-dependence", False)])
+def test_a_sweep_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, command, factored):
+    # A sieve to 10^10 needs 10 GB; the stub fails as a capped address space does.
+    sieve = primes_mod._prime_flags
+
+    def capped(n):
+        if n > 10**9:
+            raise MemoryError
+        return sieve(n)
+
+    monkeypatch.setattr(primes_mod, "_prime_flags", capped)
+    code, out, err = run(capsys, tmp_path, command, "--k", "4", "--prime-bound", str(10**10))
+    assert (code, out, err) == (2, "", "error: ran out of memory\n")
+    assert (tmp_path / "factors.txt").exists() == factored  # what was factored is saved
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_a_sieve_past_the_address_space_prints_one_line(tmp_path):
+    # A real MemoryError, in a child whose address space is capped at 1 GiB:
+    # stderr holds the error line and nothing the interpreter adds.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = ["verify-dependence", "--k", "4", "--prime-bound", str(10**10)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "twogen.cli", *argv, "--factor-cache", str(tmp_path / "f.txt")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, preexec_fn=cap, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: ran out of memory\n")
+
+
 def test_blocked_exit_code(capsys, tmp_path, monkeypatch):
     def blocked(k, cache=None):
         raise FactorizationTimeout(2**101 + 1, 2**101 + 1)
@@ -439,7 +477,9 @@ def test_modulus_loads_only_its_layers(tmp_path):
     )
     code, loaded, _ = _modules_loaded_by(tmp_path, "derive", "--k", "4")
     assert code == 0
-    assert {"twogen.synthesis", "twogen.indicators", "twogen.reduction"} <= set(loaded)
+    assert {
+        "twogen.synthesis", "twogen.rendering", "twogen.indicators", "twogen.reduction",
+    } <= set(loaded)
     assert "twogen.semigroup" not in loaded
 
 

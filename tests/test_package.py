@@ -68,13 +68,13 @@ def test_every_layer_imports_without_site_packages():
     # The package is pure standard library: with no site-packages, importing
     # every layer loads every twogen module and nothing fails, so a stray
     # import of a test dependency (sympy, hypothesis) in src is caught here.
-    layers = ("cli", "synthesis", "semigroup", "reduction", "indicators",
+    layers = ("cli", "synthesis", "rendering", "semigroup", "reduction", "indicators",
               "modulus", "factor_cache", "counting", "arith", "factoring", "primes")
     assert _twogen_modules_after_import(", ".join(f"twogen.{m}" for m in layers)) == (
         "['twogen', 'twogen.arith', 'twogen.cli', 'twogen.counting',"
         " 'twogen.factor_cache', 'twogen.factoring', 'twogen.indicators',"
-        " 'twogen.modulus', 'twogen.primes', 'twogen.reduction', 'twogen.semigroup',"
-        " 'twogen.synthesis']\n"
+        " 'twogen.modulus', 'twogen.primes', 'twogen.reduction', 'twogen.rendering',"
+        " 'twogen.semigroup', 'twogen.synthesis']\n"
     )
 
 
@@ -83,6 +83,15 @@ def test_counting_imports_only_arith():
     # layers it checks, only the integer layers primes <- factoring <- arith.
     assert _twogen_modules_after_import("twogen.counting") == (
         "['twogen', 'twogen.arith', 'twogen.counting', 'twogen.factoring', 'twogen.primes']\n"
+    )
+
+
+def test_rendering_imports_only_indicators_and_below():
+    # Rendering reads the factor tuples of a formula, never the layers that
+    # derive it, so synthesis may import it without a cycle.
+    assert _twogen_modules_after_import("twogen.rendering") == (
+        "['twogen', 'twogen.arith', 'twogen.factoring', 'twogen.indicators',"
+        " 'twogen.primes', 'twogen.rendering']\n"
     )
 
 

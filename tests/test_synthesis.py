@@ -13,20 +13,16 @@ from twogen.factoring import FactorizationTimeout
 from twogen.primes import class_counts, odd_primes_up_to
 from twogen.counting import _surviving_exponents, count_prime_power
 from twogen.factor_cache import FactorCache
-from twogen.indicators import Indicator
+from twogen import rendering
+from twogen.indicators import Indicator, _residue_model
 from twogen.modulus import modulus_of
+from twogen.rendering import CASE_TABLE_CELLS, CaseTableTooLarge, render
 from twogen.synthesis import (
-    CASE_TABLE_CELLS,
-    CaseTableTooLarge,
     CountingFormula,
     FormulaCheck,
     ProductTerm,
     SynthesisBlocked,
-    _case_table_cells,
-    _grouped,
-    _residue_model,
     minimal_modulus,
-    render,
     synthesize,
     verify_formula,
 )
@@ -309,7 +305,7 @@ def _minimal_modulus_normal_form(formula):
     # and the units whose indicators sum to 1 minus its indicator.
     eliminated = {
         q: (units[-1], units[:-1])
-        for q, (_, units, open_) in _residue_model(formula.terms).items()
+        for q, (_, units, open_) in _residue_model(t.factors for t in formula.terms).items()
         if not open_
     }
     # A monomial is a tuple of (q, a) pairs, at most one per prime.
@@ -519,12 +515,20 @@ def test_render_case_table():
     assert render(GOLDEN[2], "case-table") == "n(p^2,2) = 3"
 
 
-def test_case_table_cell_count_matches_the_printed_cells():
+def test_case_table_cell_count_matches_the_printed_cells(monkeypatch):
+    # The count the cap compares, read off the refusal of a table at cap 0.
     for k in range(1, 37):
         formula = synthesize(k)
         text = render(formula, "case-table")
         printed = sum(1 for line in text.splitlines() if line.startswith("  ("))
-        assert _case_table_cells(*_grouped(formula)) == printed, k
+        monkeypatch.setattr(rendering, "CASE_TABLE_CELLS", 0)
+        counted = 0
+        try:
+            render(formula, "case-table")
+        except CaseTableTooLarge as exc:
+            counted = int(str(exc).split(" has ")[1].split()[0])
+        monkeypatch.undo()
+        assert counted == printed, k
 
 
 def test_case_table_refuses_a_table_it_cannot_print():
