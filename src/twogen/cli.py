@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import compress
+from operator import getitem
 
 # The layers of M(k) are imported here; every other layer, and json, is
 # imported by the command that runs it, so `twogen modulus` loads no more.
@@ -85,17 +87,27 @@ def cmd_count(args, load_cache) -> int:
     return EXIT_OK
 
 
+def _joiner(names: list[str], separator: str):
+    """The function from a mask below 2**len(names) to the names of its set
+    bits joined by `separator`, looked up byte by byte, each byte in a table
+    of its 256 joined pieces."""
+    from .semigroup import bit_flags
+
+    tables = [
+        [separator.join(compress(names[i : i + 8], bit_flags(b))) for b in range(256)]
+        for i in range(0, len(names), 8)
+    ]
+    return lambda mask: separator.join(
+        filter(None, map(getitem, tables, mask.to_bytes(len(tables), "little")))
+    )
+
+
 def cmd_enumerate(args, load_cache) -> int:
-    from itertools import compress
+    from .semigroup import count_by_genus, masks_of_genus
 
-    from .semigroup import bit_flags, count_by_genus, deepest_level
-
-    if args.count_only:
-        deepest = None
-        counts = count_by_genus(args.genus)
-    else:
-        counts, deepest = deepest_level(args.genus)
-    # Generators of genus g are at most 2g + 1, gaps below them.
+    counts = count_by_genus(args.genus)
+    # The listing is a second walk, one semigroup at a time, so no level is
+    # held.  Generators of genus g are at most 2g + 1, gaps below them.
     names = [str(s) for s in range(2 * args.genus + 2)]
     rows = [
         {"genus": g, "total": total, "two_generator": pairs}
@@ -103,32 +115,33 @@ def cmd_enumerate(args, load_cache) -> int:
     ]
     if args.json:
         payload = {"levels": rows}
-        if deepest is None:
+        if args.count_only:
             _emit_json(payload)
         else:
-            # From the masks: reading n.gaps would decode and keep a tuple
-            # per node.  The lists sit three levels deep, as json.dumps
-            # indents them, and print as [] when empty.
+            # The lists sit three levels deep, as json.dumps indents them,
+            # and print as [] when empty.
+            joined = _joiner(names, ",\n        ")
+
             def listed(mask: int) -> str:
-                body = ",\n        ".join(compress(names, bit_flags(mask)))
+                body = joined(mask)
                 return f"[\n        {body}\n      ]" if body else "[]"
 
-            nodes = (
-                f'    {{\n      "gaps": {listed(n.gap_mask)},\n'
-                f'      "generators": {listed(n.generator_mask)}\n    }}'
-                for n in deepest
+            items = (
+                f'    {{\n      "gaps": {listed(holes)},\n'
+                f'      "generators": {listed(gens)}\n    }}'
+                for gens, holes in masks_of_genus(args.genus)
             )
-            _emit_json_listing(payload, "semigroups", nodes)
+            _emit_json_listing(payload, "semigroups", items)
         return EXIT_OK
-    print("genus  total  two-generator")
+    write = sys.stdout.write
+    write("genus  total  two-generator\n")
     for row in rows:
-        print(f"{row['genus']:>5}  {row['total']:>5}  {row['two_generator']:>13}")
-    if deepest is not None:
-        print(f"semigroups of genus {args.genus}:")
-        for node in deepest:
-            gaps = ",".join(compress(names, bit_flags(node.gap_mask)))
-            gens = ",".join(compress(names, bit_flags(node.generator_mask)))
-            print(f"  gaps=[{gaps}] generators=[{gens}]")
+        write(f"{row['genus']:>5}  {row['total']:>5}  {row['two_generator']:>13}\n")
+    if not args.count_only:
+        write(f"semigroups of genus {args.genus}:\n")
+        joined = _joiner(names, ",")
+        for gens, holes in masks_of_genus(args.genus):
+            write(f"  gaps=[{joined(holes)}] generators=[{joined(gens)}]\n")
     return EXIT_OK
 
 

@@ -55,12 +55,11 @@ stays exact.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 from .arith import power_roots
 from .factoring import divisors, factorize
-from .primes import _MR_DETERMINISTIC_BELOW, class_counts, is_prime
+from .primes import _MR_DETERMINISTIC_BELOW, class_counts, is_prime, odd_flagged
 
 
 class NotOddPrime(ValueError):
@@ -197,10 +196,8 @@ def _prime_tables(
     for i, j, _ in rows:
         prove(i, j)
     left = math.prod(set(rough))
-    # Lazy: the flags are read only as far as the division goes, on their
-    # odd half, which holds every swept prime at half the ints to make.
-    odd = range(1, len(flags), 2)
-    for q in itertools.compress(odd, flags[1::2]) if left > 1 else ():
+    # Lazy: the flags are read only as far as the division goes.
+    for q in odd_flagged(flags) if left > 1 else ():
         if left % q:
             continue
         for i, j, _ in rows:
@@ -237,7 +234,7 @@ def _survivor_counts(flags: bytes, k: int) -> list[int]:
     counts = class_counts(groups, k + 1 - len(groups), flags)
     if not rough:
         return counts
-    primes = list(itertools.compress(range(len(flags)), flags))
+    primes = list(odd_flagged(flags))
     lcm = math.lcm(*(r for _, _, r in rough))
     for start in range(0, len(primes), _SCREEN_BATCH):
         batch = primes[start : start + _SCREEN_BATCH]

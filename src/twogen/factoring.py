@@ -24,13 +24,12 @@ proven by is_prime.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .primes import _prime_flags, is_prime, odd_primes_up_to
+from .primes import is_prime, odd_primes_up_to, primes_up_to
 
 TRIAL_DIVISION_BOUND = 10_000
 DEFAULT_RHO_BUDGET = 10_000_000
@@ -198,7 +197,7 @@ def _stage1_powers() -> tuple[int, ...]:
     """The stage-1 exponent of p-1 as its prime powers: for each prime
     q <= PM1_B1, the largest power of q that is <= PM1_B1."""
     powers = []
-    for q in itertools.compress(range(PM1_B1 + 1), _prime_flags(PM1_B1)):
+    for q in primes_up_to(PM1_B1):
         power = q
         while power * q <= PM1_B1:
             power *= q

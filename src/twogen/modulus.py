@@ -12,13 +12,12 @@ rather than failing the whole computation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
 from .counting import _row_table, _survivor_counts
 from .factoring import FactorizationTimeout, Factorization, factorize
-from .primes import odd_prime_flags
+from .primes import odd_flagged, odd_prime_flags
 
 
 class ModulusReport(NamedTuple):
@@ -97,8 +96,7 @@ def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
         )
     classes: dict[int, int] = {}
     violations = []
-    primes = itertools.compress(range(1, prime_bound + 1, 2), flags[1::2])
-    for p, value in zip(primes, _survivor_counts(flags, k)):
+    for p, value in zip(odd_flagged(flags), _survivor_counts(flags, k)):
         if m % p == 0:
             continue
         residue = p % m

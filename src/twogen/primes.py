@@ -4,9 +4,10 @@ sieve's flags.
 `is_prime` is deterministic below ~3.3e24 (Miller-Rabin, fewest proven
 bases) and probabilistic above (40 extra rounds, error < 4**-40).  The one
 sieve is `_prime_flags`, a bytearray of Eratosthenes flags that the lists of
-primes, the flags of a sweep (`odd_prime_flags`) and the small-prime product
-of `factoring` all read.  `class_counts` counts, at each flagged n, the
-groups of residue classes that miss n.
+primes and the flags of a sweep (`odd_prime_flags`) read.  This module alone
+decodes a sweep's flags: `odd_flagged` lists the flagged n, and
+`class_counts` counts, at each flagged n, the groups of residue classes
+that miss n.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 import random
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -109,7 +110,7 @@ def odd_primes_up_to(n: int) -> list[int]:
     """All odd primes <= n."""
     if n < 3:
         return []
-    return list(itertools.compress(range(n + 1), odd_prime_flags(n)))
+    return list(odd_flagged(odd_prime_flags(n)))
 
 
 def odd_prime_flags(prime_bound: int) -> bytearray:
@@ -120,6 +121,13 @@ def odd_prime_flags(prime_bound: int) -> bytearray:
     flags = _prime_flags(prime_bound)
     flags[2] = 0
     return flags
+
+
+def odd_flagged(flags: bytes) -> Iterator[int]:
+    """The n with flags[n] == 1, in increasing order, for flags that are set
+    only at odd n, as a sweep's are.  Read off the odd half, at half the
+    ints to make, and lazily, so a reader that stops early reads no further."""
+    return itertools.compress(range(1, len(flags), 2), flags[1::2])
 
 
 _WINDOW = 1 << 16  # integers per window of `class_counts`

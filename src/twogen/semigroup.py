@@ -136,14 +136,6 @@ _set_tuples = SemigroupNode._tuples.__set__
 _new_node = object.__new__
 
 
-def _node(gens: int, holes: int, genus: int) -> SemigroupNode:
-    """A node from masks the census walk built, so unchecked."""
-    node = _new_node(SemigroupNode)
-    _set_masks(node, holes | gens << (2 * genus + 2))
-    _set_genus(node, genus)
-    return node
-
-
 _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -248,25 +240,11 @@ def enumerate_by_genus(max_genus: int) -> list[list[SemigroupNode]]:
     _check_genus(max_genus)
     levels: list[list[SemigroupNode]] = [[] for _ in range(max_genus + 1)]
     for genus, gens, holes in _walk(max_genus):
-        levels[genus].append(_node(gens, holes, genus))
+        node = _new_node(SemigroupNode)  # unchecked: the walk built the masks
+        _set_masks(node, holes | gens << (2 * genus + 2))
+        _set_genus(node, genus)
+        levels[genus].append(node)
     return levels
-
-
-def _census(
-    max_genus: int, keep_deepest: bool
-) -> tuple[list[tuple[int, int]], list[SemigroupNode]]:
-    """Per-genus (total, two-generator) counts and, if asked, the nodes of
-    genus max_genus, from one walk that builds no other node."""
-    totals = [0] * (max_genus + 1)
-    pairs = [0] * (max_genus + 1)
-    deepest: list[SemigroupNode] = []
-    for genus, gens, holes in _walk(max_genus):
-        totals[genus] += 1
-        if gens.bit_count() == 2:
-            pairs[genus] += 1
-        if keep_deepest and genus == max_genus:
-            deepest.append(_node(gens, holes, genus))
-    return list(zip(totals, pairs)), deepest
 
 
 def count_by_genus(max_genus: int) -> list[tuple[int, int]]:
@@ -276,16 +254,21 @@ def count_by_genus(max_genus: int) -> list[tuple[int, int]]:
     `enumerate_by_genus`, without building any node.
     """
     _check_genus(max_genus)
-    return _census(max_genus, keep_deepest=False)[0]
+    totals = [0] * (max_genus + 1)
+    pairs = [0] * (max_genus + 1)
+    for genus, gens, _ in _walk(max_genus):
+        totals[genus] += 1
+        if gens.bit_count() == 2:
+            pairs[genus] += 1
+    return list(zip(totals, pairs))
 
 
-def deepest_level(
-    max_genus: int,
-) -> tuple[list[tuple[int, int]], list[SemigroupNode]]:
-    """`count_by_genus(max_genus)` and the last level of
-    `enumerate_by_genus(max_genus)`, holding only the nodes of that level."""
-    _check_genus(max_genus)
-    return _census(max_genus, keep_deepest=True)
+def masks_of_genus(genus: int) -> Iterator[tuple[int, int]]:
+    """(generator mask, gap mask) of each semigroup of the given genus, in
+    the order of `enumerate_by_genus(genus)[genus]`, one at a time from the
+    walk.  The genus is checked at the call, before any item is read."""
+    _check_genus(genus)
+    return ((gens, holes) for g, gens, holes in _walk(genus) if g == genus)
 
 
 def count_two_generator(nodes: list[SemigroupNode]) -> int:

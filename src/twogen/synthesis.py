@@ -13,13 +13,12 @@ count and reducible to its minimal governing modulus; `rendering` prints it.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .counting import _survivor_counts
 from .factoring import FactorizationTimeout
 from .indicators import Indicator, _residue_model, _sort_key, reduce_power
-from .primes import class_counts, odd_prime_flags
+from .primes import class_counts, odd_flagged, odd_prime_flags
 from .reduction import normalize_target, reduce
 # render is not used here: bench/tracing.py wraps twogen.synthesis.render.
 from .rendering import render  # noqa: F401
@@ -198,7 +197,7 @@ def verify_formula(formula: CountingFormula, prime_bound: int) -> FormulaCheck:
     counts = _survivor_counts(flags, formula.k)
     mismatches: tuple[tuple[int, int, int], ...] = ()
     if values != counts:
-        primes = itertools.compress(range(prime_bound + 1), flags)
+        primes = odd_flagged(flags)
         mismatches = tuple(
             (p, got, want) for p, got, want in zip(primes, values, counts) if got != want
         )

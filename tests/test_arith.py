@@ -37,6 +37,8 @@ from twogen.primes import (
     _WINDOW,
     class_counts,
     is_prime,
+    odd_flagged,
+    odd_prime_flags,
     odd_primes_up_to,
     primes_up_to,
 )
@@ -61,6 +63,23 @@ def test_is_prime_agrees_with_sieve():
 def test_odd_primes_are_the_primes_without_2():
     for n in range(1001):
         assert odd_primes_up_to(n) == [p for p in primes_up_to(n) if p != 2], n
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        *(
+            pytest.param(odd_prime_flags(n), id=f"odd primes <= {n}")
+            for n in (3, 4, 65_535, 65_536, 65_537, 65_539)
+        ),
+        pytest.param(flags_of([]), id="empty"),
+        pytest.param(flags_of([1]), id="one"),
+        pytest.param(flags_of([7, 65_537, 131_073]), id="sparse"),
+        pytest.param(flags_of(range(3, 200_001, 998)), id="a stride"),
+    ],
+)
+def test_odd_flagged_lists_the_flagged_numbers(flags):
+    assert list(odd_flagged(flags)) == [n for n, flag in enumerate(flags) if flag]
 
 
 def _class_counts_plain(groups, constant, flags):

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,24 @@ def test_small_enumerate_listings_are_pinned(capsys, tmp_path, genus, extra):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == ENUMERATE_SMALL_SHA256[genus, extra]
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+def test_enumerate_listing_holds_no_level(tmp_path, monkeypatch, extra):
+    # Genus 20 lists 37,396 semigroups; a stored level of them peaks near
+    # 4 MB, a listing written one line at a time near 0.1 MB.
+    argv = ["enumerate", *extra, "--factor-cache", str(tmp_path / "factors.txt")]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert cli.main([*argv, "--genus", "1"]) == 0  # warm the imports
+        tracemalloc.start()
+        try:
+            code = cli.main([*argv, "--genus", "20"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20, peak
 
 
 def test_reduce_text(capsys, tmp_path):

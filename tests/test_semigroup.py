@@ -14,9 +14,9 @@ from twogen.semigroup import (
     _walk,
     count_by_genus,
     count_two_generator,
-    deepest_level,
     enumerate_by_genus,
     gap_set,
+    masks_of_genus,
     sylvester_genus,
 )
 
@@ -104,10 +104,11 @@ def test_enumeration_budget():
             census(26)
         with pytest.raises(ValueError):
             census(-1)
+    # The listing refuses at the call, before the first item is read.
     with pytest.raises(BudgetExceeded):
-        deepest_level(26)
+        masks_of_genus(26)
     with pytest.raises(ValueError):
-        deepest_level(-1)
+        masks_of_genus(-1)
 
 
 def test_nodes_are_consistent():
@@ -271,10 +272,10 @@ def test_count_by_genus_matches_full_levels(census_20):
         assert count_by_genus(g) == expected[: g + 1], g
 
 
-def test_deepest_level_matches_full_levels(census_20):
-    expected = [(len(nodes), count_two_generator(nodes)) for nodes in census_20]
+def test_masks_of_genus_match_the_last_level(census_20):
     for g in range(21):
-        assert deepest_level(g) == (expected[: g + 1], census_20[g]), g
+        want = [(node.generator_mask, node.gap_mask) for node in census_20[g]]
+        assert list(masks_of_genus(g)) == want, g
 
 
 def _walk_tuples(max_genus):
