@@ -437,29 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _exit_code(step, *args) -> int:
+    """Run `step(*args)` and return the exit code of its outcome: what it
+    returns (0 for None), or, after one `error:` line on stderr, the code of
+    the class of what it raises."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    loaded: list[FactorCache] = []
-
-    def load_cache() -> FactorCache:
-        # Read on first use, so a command that never factors never reads it.
-        if not loaded:
-            loaded.append(FactorCache.load(args.factor_cache))
-        return loaded[0]
-
-    try:
-        try:
-            code = args.func(args, load_cache)
-            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-            return code
-        finally:
-            # On a timeout too: the next run starts from what was factored.
-            if loaded and loaded[0].dirty:
-                loaded[0].save(args.factor_cache)
+        code = step(*args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code or EXIT_OK
     # A BrokenPipeError is an OSError, so it is caught first.  Python flushes
     # stdout again at exit; pointing it at devnull keeps that flush quiet.
     except BrokenPipeError:
@@ -479,6 +464,39 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: ran out of memory", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    loaded: list[FactorCache] = []
+
+    def load_cache() -> FactorCache:
+        # Read on first use, so a command that never factors never reads it.
+        if not loaded:
+            loaded.append(FactorCache.load(args.factor_cache))
+        return loaded[0]
+
+    # Integers print whole, a modulus of any length too.  argv was parsed
+    # under Python's limit on digits, which callers in process get back.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    saved = EXIT_OK
+    try:
+        code = _exit_code(args.func, args, load_cache)
+    finally:
+        # On every exit, a timeout too: the next run starts from what was
+        # factored.  A failed save is reported after the command's own
+        # outcome, and decides the code only when the command succeeded.
+        if loaded and loaded[0].dirty:
+            saved = _exit_code(loaded[0].save, args.factor_cache)
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+    return code or saved
 
 
 def console_main() -> None:

@@ -74,46 +74,27 @@ def _term_key(term: ProductTerm) -> tuple:
     return (len(term.factors), tuple((x.q, x.a) for x in term.factors))
 
 
-class CountingFormula:
+class _CountingFormulaFields(NamedTuple):
+    k: int
+    constant: int
+    terms: tuple[ProductTerm, ...]
+
+
+class CountingFormula(_CountingFormulaFields):
     """Canonical closed form for n(p^k,2): constant + multiset of products.
 
     Each of the k+1 exponent rows contributes exactly one summand, either 1
     (into the constant) or one product term, so
     constant + len(terms) == k + 1.  A derived formula keeps the rows it
-    came from in `rows`, which equality, hash and repr ignore.
+    came from in `rows`, outside the tuple: equality, hash and repr ignore them.
     """
 
-    __slots__ = ("k", "constant", "terms", "rows")
+    rows: tuple[SynthesisRow, ...] = ()
 
-    def __init__(
-        self,
-        k: int,
-        constant: int,
-        terms: tuple[ProductTerm, ...],
-        rows: tuple[SynthesisRow, ...] = (),
-    ):
-        set_field = object.__setattr__
-        set_field(self, "k", k)
-        set_field(self, "constant", constant)
-        set_field(self, "terms", tuple(sorted(terms, key=_term_key)))
-        set_field(self, "rows", rows)
-
-    def _key(self) -> tuple:
-        return (self.k, self.constant, self.terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"CountingFormula(k={self.k!r}, constant={self.constant!r},"
-            f" terms={self.terms!r})"
-        )
+    def __new__(cls, k: int, constant: int, terms, rows=()) -> CountingFormula:
+        self = tuple.__new__(cls, (k, constant, tuple(sorted(terms, key=_term_key))))
+        object.__setattr__(self, "rows", rows)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -122,7 +103,7 @@ class CountingFormula:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return CountingFormula, (*self._key(), self.rows)
+        return CountingFormula, (*self, self.rows)
 
     def evaluate(self, p: int) -> int:
         return self.constant + sum(term(p) for term in self.terms)

@@ -263,6 +263,53 @@ def test_reduce_rejects_zero_beta(capsys, tmp_path):
     assert "alpha, beta >= 1" in err
 
 
+@pytest.fixture
+def whole_ints():
+    """Lift Python's limit on the digits of int <-> str for the test's own
+    conversions, after the command has run under it, and restore it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    def lift() -> None:
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+
+    yield lift
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_reduce_prints_a_modulus_of_any_length(capsys, tmp_path, whole_ints):
+    # 2^20000 + 1 has 6,021 digits, above Python's default limit of 4,300.
+    code, out, err = run(capsys, tmp_path, "reduce", "--alpha", "20000", "--beta", "19999")
+    whole_ints()
+    modulus = str(2**20000 + 1)
+    assert (code, err) == (0, "")
+    assert out == (
+        "gcd(p^20000+1, 2p^19999+1)\n"
+        "  r = [20000, 19999, 1, 0]\n"
+        "  a = [1, 19999]\n"
+        "  s = [1, 1, 0, 1]\n"
+        "  t = [0, -1, 1, -20000]\n"
+        f"  reduced: gcd(p^1 - 2^1, {modulus})\n"
+        f"  normalized: gcd(p^1 - 2, {modulus})\n"
+    )
+
+
+def test_reduce_json_prints_a_modulus_of_any_length(capsys, tmp_path, whole_ints):
+    code, out, err = run(
+        capsys, tmp_path, "reduce", "--alpha", "20000", "--beta", "19999", "--json"
+    )
+    whole_ints()
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    validate(payload, _exact(**REDUCE_FIELDS))
+    assert payload["modulus"] == 2**20000 + 1
+    assert payload["trace"] == {
+        "r": [20000, 19999, 1, 0], "a": [1, 19999], "s": [1, 1, 0, 1], "t": [0, -1, 1, -20000],
+    }
+
+
 def test_derive_text(capsys, tmp_path):
     code, out, _ = run(capsys, tmp_path, "derive", "--k", "9", "--style", "factored")
     assert code == 0
@@ -612,6 +659,26 @@ def test_blocked_command_keeps_what_it_factored(capsys, tmp_path, monkeypatch):
         assert FactorCache.load(path).values() == [3, 5, 17, 33, 129]
     assert factored == [3, 5, 17, 33, 129]  # all in the first run
 
+
+
+def test_a_failed_cache_save_keeps_the_blocked_code(capsys, tmp_path, monkeypatch):
+    # The same blocked run as above, with a cache that cannot be saved: the
+    # command's own code and message come first, the failed save after them.
+    def blocked(n, cache=None, **kwargs):
+        if n == 257:
+            raise FactorizationTimeout(n, n)
+        return factorize(n, cache, **kwargs)
+
+    monkeypatch.setattr(modulus_mod, "factorize", blocked)
+    path = tmp_path / "missing" / "factors.txt"
+    code = cli.main(["verify-dependence", "--k", "9", "--factor-cache", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: could not factor 257: budget exhausted on cofactor 257\n"
+        f"error: cannot save the factor cache to {path}: No such file or directory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 # (argv, the schema of the payload with exactly its keys, some expected values)
 JSON_CASES = [

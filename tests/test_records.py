@@ -1,6 +1,7 @@
 """What callers see of each public record: repr, value equality, hash,
 pickling and refusal to be changed, whatever the class is built from."""
 
+import copy
 import pickle
 
 import pytest
@@ -161,6 +162,8 @@ def test_counting_formula_ignores_rows():
     assert repr(derived) == repr(bare)
     assert "rows" not in repr(derived)
     assert pickle.loads(pickle.dumps(derived)).rows == derived.rows
+    assert tuple(derived) == (4, derived.constant, derived.terms)
+    assert copy.copy(derived).rows == derived.rows
 
 
 def test_records_validate_on_construction():
