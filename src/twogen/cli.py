@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 a verification sweep found a mismatch, 2 usage or
-domain error, or memory ran out (a sieve to a huge --prime-bound), 3 a
+domain error, or memory ran out (a sieve to a huge --prime-bound), or a
+command succeeded but its factor cache could not be saved, 3 a
 computation was blocked (factoring budget exhausted or a derivation blocked
 on an unfactored number), 141 (128 + SIGPIPE) the reader of stdout closed it
 early, as `| head` does.  All output is ASCII and all
@@ -156,12 +157,7 @@ def cmd_reduce(args, load_cache) -> int:
         payload = {
             "alpha": args.alpha,
             "beta": args.beta,
-            "trace": {
-                "r": list(trace.r),
-                "a": list(trace.a),
-                "s": list(trace.s),
-                "t": list(trace.t),
-            },
+            "trace": trace._asdict(),
             "delta": form.delta,
             "sign": form.sign,
             "two_exp": form.two_exp,
@@ -176,10 +172,8 @@ def cmd_reduce(args, load_cache) -> int:
         _emit_json(payload)
     else:
         print(f"gcd(p^{args.alpha}+1, 2p^{args.beta}+1)")
-        print(f"  r = {list(trace.r)}")
-        print(f"  a = {list(trace.a)}")
-        print(f"  s = {list(trace.s)}")
-        print(f"  t = {list(trace.t)}")
+        for name, values in trace._asdict().items():
+            print(f"  {name} = {list(values)}")
         op = "-" if form.sign > 0 else "+"
         print(f"  reduced: gcd(p^{form.delta} {op} 2^{form.two_exp}, {form.modulus})")
         print(f"  normalized: gcd(p^{form.delta} - {a}, {c})")
@@ -280,18 +274,10 @@ def cmd_derive(args, load_cache) -> int:
 def cmd_verify(args, load_cache) -> int:
     from .synthesis import synthesize, verify_formula
 
-    check_prime_bound(args.prime_bound)  # before the derivation, which may block
     formula = synthesize(args.k, load_cache())
     check = verify_formula(formula, args.prime_bound)
     if args.json:
-        _emit_json(
-            {
-                "k": check.k,
-                "prime_bound": check.prime_bound,
-                "primes_checked": check.primes_checked,
-                "mismatches": [list(m) for m in check.mismatches],
-            }
-        )
+        _emit_json(check._asdict())
     else:
         if check.ok:
             print(
@@ -344,6 +330,71 @@ def cmd_xreduce(args, load_cache) -> int:
     return EXIT_OK
 
 
+# Each command's help, handler and own options.  Every command also takes
+# --factor-cache and --json, and main checks --prime-bound before the handler.
+_INT = {"type": int}
+_REQUIRED = {"type": int, "required": True}
+_SWITCH = {"action": "store_true"}
+_PRIME_BOUND = {
+    "type": int,
+    "default": 2000,
+    "metavar": "N",
+    "help": "bound for prime sweeps (default 2000)",
+}
+COMMANDS = {
+    "count": (
+        "count n(g,2) or n(p^k,2)",
+        cmd_count,
+        {"--genus": _INT, "--prime": _INT, "--power": _INT, "--witnesses": _SWITCH},
+    ),
+    "enumerate": (
+        "census of all semigroups up to a genus",
+        cmd_enumerate,
+        {"--genus": _REQUIRED, "--count-only": _SWITCH},
+    ),
+    "reduce": (
+        "reduce gcd(p^a+1, 2p^b+1) to gcd(p^d - a, c)",
+        cmd_reduce,
+        {
+            "--alpha": _REQUIRED,
+            "--beta": _REQUIRED,
+            "--verify": _SWITCH,
+            "--prime-bound": _PRIME_BOUND,
+        },
+    ),
+    "modulus": ("the governing modulus M(k)", cmd_modulus, {"--k": _REQUIRED}),
+    "verify-dependence": (
+        "check n(p^k,2) is constant on classes mod M(k)",
+        cmd_verify_dependence,
+        {"--k": _REQUIRED, "--prime-bound": _PRIME_BOUND},
+    ),
+    "derive": (
+        "derive the formula for n(p^k,2)",
+        cmd_derive,
+        {
+            "--k": _REQUIRED,
+            "--style": {"choices": ["flat", "factored", "case-table"], "default": "factored"},
+            "--rows": {"action": "store_true", "help": "print the per-exponent table"},
+        },
+    ),
+    "verify": (
+        "sweep a derived formula against direct counts",
+        cmd_verify,
+        {"--k": _REQUIRED, "--prime-bound": _PRIME_BOUND},
+    ),
+    "minimal-modulus": (
+        "smallest modulus the derived formula depends on",
+        cmd_minimal_modulus,
+        {"--k": _REQUIRED},
+    ),
+    "xreduce": (
+        "reduce an indicator at a power argument",
+        cmd_xreduce,
+        {"--a": _REQUIRED, "--q": _REQUIRED, "--s": _REQUIRED},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -360,80 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
         "residue-class formulas for prime-power genus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", parents=[common], help="count n(g,2) or n(p^k,2)")
-    p.add_argument("--genus", type=int)
-    p.add_argument("--prime", type=int)
-    p.add_argument("--power", type=int, dest="power")
-    p.add_argument("--witnesses", action="store_true")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser(
-        "enumerate", parents=[common], help="census of all semigroups up to a genus"
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser(
-        "reduce", parents=[common], help="reduce gcd(p^a+1, 2p^b+1) to gcd(p^d - a, c)"
-    )
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("modulus", parents=[common], help="the governing modulus M(k)")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_modulus)
-
-    p = sub.add_parser(
-        "verify-dependence",
-        parents=[common],
-        help="check n(p^k,2) is constant on classes mod M(k)",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_verify_dependence)
-
-    p = sub.add_parser("derive", parents=[common], help="derive the formula for n(p^k,2)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--style", choices=["flat", "factored", "case-table"], default="factored"
-    )
-    p.add_argument("--rows", action="store_true", help="print the per-exponent table")
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser(
-        "verify", parents=[common], help="sweep a derived formula against direct counts"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "minimal-modulus",
-        parents=[common],
-        help="smallest modulus the derived formula depends on",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_minimal_modulus)
-
-    p = sub.add_parser(
-        "xreduce", parents=[common], help="reduce an indicator at a power argument"
-    )
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=cmd_xreduce)
-
-    # Only the commands that sweep primes take a bound for the sweep.
-    for name in ("reduce", "verify-dependence", "verify"):
-        sub.choices[name].add_argument(
-            "--prime-bound",
-            type=int,
-            default=2000,
-            metavar="N",
-            help="bound for prime sweeps (default 2000)",
-        )
+    for name, (help_text, _, options) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -472,6 +453,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # Every sweep needs an odd prime: refused before any sieve, derivation
+    # or factoring, and before the cache is read.
+    if "prime_bound" in args and _exit_code(check_prime_bound, args.prime_bound):
+        return EXIT_USAGE
+    _, handler, _ = COMMANDS[args.command]
     loaded: list[FactorCache] = []
 
     def load_cache() -> FactorCache:
@@ -487,7 +473,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     saved = EXIT_OK
     try:
-        code = _exit_code(args.func, args, load_cache)
+        code = _exit_code(handler, args, load_cache)
     finally:
         # On every exit, a timeout too: the next run starts from what was
         # factored.  A failed save is reported after the command's own

@@ -374,10 +374,15 @@ def test_verify_mismatch_exit_code(capsys, tmp_path, monkeypatch):
 
 
 def test_sweeps_need_an_odd_prime(capsys, tmp_path):
-    for command, k, bound in (("verify", "3", "2"), ("verify-dependence", "1", "1")):
-        code, out, err = run(capsys, tmp_path, command, "--k", k, "--prime-bound", bound)
-        assert (code, out) == (2, "")
-        assert err == f"error: prime_bound must be >= 3, got {bound}\n"
+    for argv, bound in (
+        (("verify", "--k", "3"), "2"),
+        (("verify-dependence", "--k", "1"), "1"),
+        (("reduce", "--alpha", "5", "--beta", "3"), "2"),
+        (("reduce", "--alpha", "5", "--beta", "3", "--verify"), "2"),
+    ):
+        code, out, err = run(capsys, tmp_path, *argv, "--prime-bound", bound)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: prime_bound must be >= 3, got {bound}\n", argv
 
 
 def test_only_the_sweeps_take_a_prime_bound(capsys, tmp_path):
@@ -392,6 +397,72 @@ def test_only_the_sweeps_take_a_prime_bound(capsys, tmp_path):
         code, out, err = run(capsys, tmp_path, *argv, "--prime-bound", "-5")
         assert (code, out) == (2, ""), argv
         assert "unrecognized arguments: --prime-bound -5" in err, argv
+
+
+# Every option of every subcommand: flag -> (type, required, default, choices).
+_COMMON_OPTIONS = {
+    "--factor-cache": (None, False, "./factors.txt", None),
+    "--json": (None, False, False, None),
+}
+_K = {"--k": (int, True, None, None)}
+_PRIME_BOUND = {"--prime-bound": (int, False, 2000, None)}
+PARSER_CONTRACT = {
+    "count": {
+        "--genus": (int, False, None, None),
+        "--prime": (int, False, None, None),
+        "--power": (int, False, None, None),
+        "--witnesses": (None, False, False, None),
+    },
+    "enumerate": {"--genus": (int, True, None, None), "--count-only": (None, False, False, None)},
+    "reduce": {
+        "--alpha": (int, True, None, None),
+        "--beta": (int, True, None, None),
+        "--verify": (None, False, False, None),
+        **_PRIME_BOUND,
+    },
+    "modulus": _K,
+    "verify-dependence": {**_K, **_PRIME_BOUND},
+    "derive": {
+        **_K,
+        "--style": (None, False, "factored", ["flat", "factored", "case-table"]),
+        "--rows": (None, False, False, None),
+    },
+    "verify": {**_K, **_PRIME_BOUND},
+    "minimal-modulus": _K,
+    "xreduce": {flag: (int, True, None, None) for flag in ("--a", "--q", "--s")},
+}
+
+
+def test_the_parser_holds_exactly_the_documented_options(capsys, tmp_path):
+    (subparsers,) = (
+        action for action in cli.build_parser()._actions if action.choices is not None
+    )
+    found = {
+        name: {
+            action.option_strings[0]: (
+                action.type,
+                action.required,
+                action.default,
+                action.choices,
+            )
+            for action in parser._actions
+            if action.option_strings and action.option_strings[0] != "-h"
+        }
+        for name, parser in subparsers.choices.items()
+    }
+    assert found == {
+        name: {**_COMMON_OPTIONS, **options} for name, options in PARSER_CONTRACT.items()
+    }
+    # An int option that is not given an int is a usage error that names it.
+    for name, options in PARSER_CONTRACT.items():
+        ints = [flag for flag, (kind, *_) in options.items() if kind is int]
+        for flag in ints:
+            argv = [name]
+            for other in ints:
+                argv += [other, "x" if other == flag else "1"]
+            code, out, err = run(capsys, tmp_path, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"argument {flag}: invalid int value: 'x'" in err, argv
 
 
 def test_verify_checks_the_bound_before_deriving(capsys, tmp_path, monkeypatch):
