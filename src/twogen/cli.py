@@ -314,6 +314,10 @@ def cmd_minimal_modulus(args, load_cache) -> int:
 def cmd_xreduce(args, load_cache) -> int:
     from .indicators import reduce_power
 
+    # A residue outside [0, q) would be echoed unreduced; a modulus below 2
+    # is left to reduce_power's own check.
+    if args.q >= 2 and not 0 <= args.a < args.q:
+        raise ValueError(f"--a must be in [0, {args.q}), got {args.a}")
     factors = reduce_power(args.a, args.q, args.s, load_cache())
     product = "*".join(str(x) for x in factors) if factors else "1"
     if args.json:

@@ -93,17 +93,18 @@ def expand_power(x: Indicator, s: int) -> tuple[Indicator, ...]:
 
 def reduce_power(a: int, q: int, s: int, cache=None) -> tuple[Indicator, ...]:
     """Fully reduce the indicator of a mod q at argument n^s to first-power,
-    prime-modulus factors, sorted by (q, a): per prime of q, one X(r, q) at n
-    for each s-th root r of a (`arith.power_roots`).  The empty tuple is the
-    constant 1."""
+    prime-modulus factors, distinct and sorted by (q, a): per prime p of q,
+    in increasing order, one X(r, p) at n for each s-th root r of a mod p
+    (`arith.power_roots`, sorted).  The empty tuple is the constant 1.
+    It equals `decompose` followed by `power_roots` on each factor."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     if s < 1:
         raise ValueError(f"exponent must be >= 1, got {s}")
     return tuple(
-        Indicator._of_prime(r, x.q)
-        for x in decompose(a, q, cache)
-        for r in power_roots(x.a, s, x.q)
+        Indicator._of_prime(r, p)
+        for p, _ in factorize(q, cache).factors
+        for r in power_roots(a % p, s, p)
     )
 
 

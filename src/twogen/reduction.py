@@ -91,18 +91,25 @@ def euclidean_trace(alpha: int, beta: int) -> EuclideanTrace:
 def reduce(alpha: int, beta: int) -> ReducedGcd:
     """Reduce gcd(p^alpha + 1, 2 p^beta + 1) to its p-independent target shape.
 
-    The sign is (-1)**s[n] as produced by the trace; no pattern in it is
+    This is the recurrence of `euclidean_trace` kept on two consecutive
+    entries of r, s and t, so it ends at (r[n], s[n], t[n]) without
+    building the trace.  The sign is (-1)**s[n]; no pattern in it is
     assumed anywhere.  The modulus is computed here, not read from
     `counting.row_modulus`: the direct count that checks it must not share it.
     """
-    trace = euclidean_trace(alpha, beta)
-    n = trace.n
-    delta = trace.gcd
-    sign = -1 if trace.s[n] % 2 else 1
-    two_exp = trace.t[n]
+    if alpha < 1 or beta < 1:
+        raise ValueError(f"need alpha, beta >= 1, got ({alpha}, {beta})")
+    r0, r1, s0, s1, t0, t1 = alpha, beta, 1, 1, 0, -1
+    while r1:
+        quot = r0 // r1
+        r0, r1 = r1, r0 - quot * r1
+        s0, s1 = s1, s0 - quot * s1
+        t0, t1 = t1, t0 - quot * t1
+    delta = r0
+    sign = -1 if s0 % 2 else 1
     parity = ((alpha - beta) // delta) % 2
     modulus = 2 ** (alpha // delta) - (-1 if parity else 1)
-    return ReducedGcd(delta, sign, two_exp, modulus)
+    return ReducedGcd(delta, sign, t0, modulus)
 
 
 def normalize_target(form: ReducedGcd) -> tuple[int, int]:

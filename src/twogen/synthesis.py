@@ -60,6 +60,12 @@ class ProductTerm(_ProductTermFields):
             raise ValueError("a product term needs at least one factor")
         return tuple.__new__(cls, (normalized,))
 
+    @classmethod
+    def _of_sorted(cls, factors: tuple[Indicator, ...]) -> ProductTerm:
+        """Build the term of factors already distinct, sorted by (q, a) and
+        nonempty, as `reduce_power` returns them, skipping the sort."""
+        return tuple.__new__(cls, (factors,))
+
     def __call__(self, n: int) -> int:
         result = 1
         for x in self.factors:
@@ -164,7 +170,7 @@ def synthesize(k: int, cache=None) -> CountingFormula:
     # i = k: gcd(p^k + 1, 2p^0 + 1) = gcd(p^k + 1, 3), an indicator of -1 mod 3.
     rows.append(SynthesisRow(k, k, 2, 3, reduce_power(2, 3, k, cache)))
     constant = sum(1 for row in rows if not row.factors)
-    terms = tuple(ProductTerm(row.factors) for row in rows if row.factors)
+    terms = tuple(ProductTerm._of_sorted(row.factors) for row in rows if row.factors)
     return CountingFormula(k, constant, terms, tuple(rows))
 
 

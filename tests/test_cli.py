@@ -13,6 +13,7 @@ import pytest
 from jsonschema import validate
 
 from twogen import cli
+from twogen import indicators as indicators_mod
 from twogen import modulus as modulus_mod
 from twogen import primes as primes_mod
 from twogen import synthesis as synthesis_mod
@@ -505,6 +506,26 @@ def test_xreduce(capsys, tmp_path):
     assert "X(8,17)(n^2) = X(5,17)*X(12,17)" in out
     code, out, _ = run(capsys, tmp_path, "xreduce", "--a", "2", "--q", "9", "--s", "2")
     assert "X(2,9)(n^2) = 1" in out
+
+
+def test_xreduce_refuses_a_residue_outside_the_modulus(capsys, tmp_path, monkeypatch):
+    def factor(*args):
+        raise AssertionError("xreduce factored before checking --a")
+
+    monkeypatch.setattr(indicators_mod, "factorize", factor)
+    for a in ("-1", "9", "7"):
+        for extra in ((), ("--json",)):
+            argv = ("xreduce", "--a", a, "--q", "7", "--s", "3", *extra)
+            code, out, err = run(capsys, tmp_path, *argv)
+            assert (code, out) == (2, ""), (a, extra)
+            assert err == f"error: --a must be in [0, 7), got {a}\n", (a, extra)
+    assert not (tmp_path / "factors.txt").exists()
+    monkeypatch.undo()
+    # Both ends of the range are residues.
+    code, out, _ = run(capsys, tmp_path, "xreduce", "--a", "0", "--q", "7", "--s", "3")
+    assert (code, out) == (0, "X(0,7)(n^3) = X(0,7)\n")
+    code, out, _ = run(capsys, tmp_path, "xreduce", "--a", "6", "--q", "7", "--s", "3")
+    assert (code, out) == (0, "X(6,7)(n^3) = X(3,7)*X(5,7)*X(6,7)\n")
 
 
 def test_usage_errors(capsys, tmp_path):

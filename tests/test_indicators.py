@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 
 import pytest
 
-from twogen.arith import primitive_root
+from twogen.arith import power_roots, primitive_root
+from twogen.factor_cache import FactorCache
+from twogen import indicators as indicators_mod
 from twogen.primes import primes_up_to
 from twogen.indicators import (
     Indicator,
@@ -31,6 +34,16 @@ def _expand_power_coset_scan(x: Indicator, s: int) -> tuple[Indicator, ...]:
             return tuple(sorted((Indicator(r, q) for r in roots), key=_sort_key))
         power = power * multiplier % q
     return ()
+
+
+def _reduce_power_by_decompose(a: int, q: int, s: int, cache=None) -> tuple[Indicator, ...]:
+    """The former reduce_power, kept as an oracle: the factors of `decompose`,
+    each replaced by X(r, p) over the roots r of its residue."""
+    return tuple(
+        Indicator._of_prime(r, x.q)
+        for x in decompose(a, q, cache)
+        for r in indicators_mod.power_roots(x.a, s, x.q)
+    )
 
 
 def test_indicator_normalizes_residue():
@@ -227,6 +240,20 @@ def test_reduce_power_sweep():
                         product *= f(n)
                     direct = 1 if math.gcd(n**s - a, q) == 1 else 0
                     assert product == direct, (a, q, s, n)
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_reduce_power_matches_the_decompose_composition(s, monkeypatch):
+    # Every q up to 400, primes, prime powers and composites, and three
+    # representatives of every residue; the oracle depends on a mod q only.
+    # Both sides read the same memo of power_roots, which changes no value
+    # and still sees the residue each side passes.
+    monkeypatch.setattr(indicators_mod, "power_roots", functools.cache(power_roots))
+    cache = FactorCache()
+    for q in range(2, 401):
+        want = [_reduce_power_by_decompose(a, q, s, cache) for a in range(q)]
+        for a in range(-q, 2 * q + 1):
+            assert reduce_power(a, q, s, cache) == want[a % q], (a, q, s)
 
 
 def test_reduce_power_validates():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from twogen.primes import odd_primes_up_to
 from twogen.reduction import (
+    ReducedGcd,
     euclidean_trace,
     normalize_target,
     reduce,
@@ -98,9 +99,32 @@ def test_reduce_delta_is_gcd():
             assert form.modulus % 2 == 1 and form.modulus >= 1
 
 
-def test_normalize_examples():
-    from twogen.reduction import ReducedGcd
+def _form_of_trace(alpha, beta):
+    """The target shape read off the whole trace: the oracle of `reduce`."""
+    trace = euclidean_trace(alpha, beta)
+    delta = trace.gcd
+    sign = -1 if trace.s[trace.n] % 2 else 1
+    parity = ((alpha - beta) // delta) % 2
+    return ReducedGcd(delta, sign, trace.t[trace.n], 2 ** (alpha // delta) - (-1) ** parity)
 
+
+def test_reduce_reads_the_end_of_the_trace():
+    for alpha in range(1, 201):
+        for beta in range(1, 201):
+            assert reduce(alpha, beta) == _form_of_trace(alpha, beta), (alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 9), (9, 0), (0, 0), (-1, 3), (3, -2)])
+def test_reduce_refuses_what_the_trace_refuses(alpha, beta):
+    with pytest.raises(ValueError) as from_trace:
+        euclidean_trace(alpha, beta)
+    with pytest.raises(ValueError) as from_reduce:
+        reduce(alpha, beta)
+    assert str(from_reduce.value) == str(from_trace.value)
+    assert str(from_reduce.value) == f"need alpha, beta >= 1, got ({alpha}, {beta})"
+
+
+def test_normalize_examples():
     assert normalize_target(ReducedGcd(1, 1, 0, 1)) == (0, 1)
     assert normalize_target(ReducedGcd(1, -1, 1, 3)) == (1, 3)  # -2 = 1 (mod 3)
     assert normalize_target(ReducedGcd(1, 1, -5, 33)) == (32, 33)  # 2^-5 = -1 (mod 33)

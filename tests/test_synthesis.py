@@ -40,6 +40,16 @@ def test_product_term_canonical():
         ProductTerm(())
 
 
+def test_derived_rows_are_canonical_products():
+    # synthesize builds its terms unchecked, from rows that reduce_power
+    # must leave distinct and sorted as the public constructor would.
+    cache = FactorCache()
+    for k in range(1, 63):
+        for row in synthesize(k, cache).rows:
+            if row.factors:
+                assert ProductTerm(row.factors).factors == row.factors, (k, row)
+
+
 def test_formula_canonical_order():
     shuffled = CountingFormula(9, 1, tuple(reversed(GOLDEN[9].terms)))
     assert shuffled == GOLDEN[9]
