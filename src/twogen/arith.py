@@ -1,7 +1,8 @@
 """Modular roots mod a prime: `power_roots`, the one power-congruence
 solver of the package, and `primitive_root`, which shares its least
-non-residue search.  The factoring they need comes from `factoring`, the
-primality test from `primes`.
+non-residue search.  The factoring of q-1 comes from `factoring`; the
+primality test, and the sieve the primes of d = gcd(s, q-1) are read off,
+from `primes`.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ import itertools
 import math
 
 from .factoring import factorize
-# primes_up_to is not used here: bench/tracing.py wraps twogen.arith.primes_up_to.
-from .primes import is_prime, primes_up_to  # noqa: F401
+from .primes import is_prime, primes_up_to
 
 
 def _least_non_residue(q: int, primes: list[int]) -> int:
@@ -52,7 +52,8 @@ def power_roots(a: int, s: int, q: int) -> list[int]:
         a = pow(a, pow(s // d, -1, (q - 1) // d), q)
     if d == 1:
         return [a]
-    primes = [r for r, _ in factorize(d).factors]
+    # Read off the sieve: the d roots returned below outweigh a sieve to d.
+    primes = [r for r in primes_up_to(d) if d % r == 0]
     t, m, digits = 1, q - 1, []
     for r in primes:
         while m % r == 0:

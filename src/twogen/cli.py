@@ -63,28 +63,24 @@ def cmd_count(args, load_cache) -> int:
         given, needed = ("--prime", "--power") if args.power is None else ("--power", "--prime")
         raise ValueError(f"{given} requires {needed}")
     if args.genus is not None:
-        pairs = special_factorizations(args.genus, load_cache())
-        if args.json:
-            payload = {"genus": args.genus, "count": len(pairs)}
-            if args.witnesses:
-                payload["witnesses"] = [list(p) for p in pairs]
-            _emit_json(payload)
-        else:
-            print(f"n({args.genus},2) = {len(pairs)}")
-            if args.witnesses:
-                for u, v in pairs:
-                    print(f"  {{{u}, {v}}}")
-        return EXIT_OK
-    exponents = surviving_exponents(args.prime, args.power)
+        witnesses = special_factorizations(args.genus, load_cache())
+        payload = {"genus": args.genus, "count": len(witnesses)}
+        name = f"n({args.genus},2)"
+        lines = [f"  {{{u}, {v}}}" for u, v in witnesses]
+    else:
+        witnesses = surviving_exponents(args.prime, args.power)
+        payload = {"prime": args.prime, "power": args.power, "count": len(witnesses)}
+        name = f"n({args.prime}^{args.power},2)"
+        lines = [f"  surviving exponents: {', '.join(map(str, witnesses))}"]
     if args.json:
-        payload = {"prime": args.prime, "power": args.power, "count": len(exponents)}
         if args.witnesses:
-            payload["witnesses"] = exponents
+            payload["witnesses"] = witnesses
         _emit_json(payload)
     else:
-        print(f"n({args.prime}^{args.power},2) = {len(exponents)}")
+        print(f"{name} = {len(witnesses)}")
         if args.witnesses:
-            print(f"  surviving exponents: {', '.join(map(str, exponents))}")
+            for line in lines:
+                print(line)
     return EXIT_OK
 
 
@@ -158,17 +154,12 @@ def cmd_reduce(args, load_cache) -> int:
             "alpha": args.alpha,
             "beta": args.beta,
             "trace": trace._asdict(),
-            "delta": form.delta,
-            "sign": form.sign,
-            "two_exp": form.two_exp,
-            "modulus": form.modulus,
+            **form._asdict(),
             "residue": a,
         }
         if check is not None:
             payload["verified_primes"] = check.primes_checked
-            payload["counterexample"] = (
-                list(check.counterexample) if check.counterexample else None
-            )
+            payload["counterexample"] = check.counterexample
         _emit_json(payload)
     else:
         print(f"gcd(p^{args.alpha}+1, 2p^{args.beta}+1)")
@@ -194,11 +185,11 @@ def cmd_modulus(args, load_cache) -> int:
         _emit_json(
             {
                 "k": report.k,
-                "per_i": [list(pair) for pair in report.per_i],
+                "per_i": report.per_i,
                 "M": report.modulus,
-                "factors": [list(pair) for pair in report.factors.factors],
+                "factors": report.factors.factors,
                 "complete": report.complete,
-                "unfactored": list(report.unfactored),
+                "unfactored": report.unfactored,
             }
         )
     else:
@@ -224,7 +215,7 @@ def cmd_verify_dependence(args, load_cache) -> int:
                 "primes_checked": report.primes_checked,
                 "classes": len(report.classes),
                 "values": sorted(report.values),
-                "violations": [list(v) for v in report.violations],
+                "violations": report.violations,
             }
         )
     else:
@@ -239,6 +230,7 @@ def cmd_verify_dependence(args, load_cache) -> int:
 
 
 def cmd_derive(args, load_cache) -> int:
+    from .indicators import _product
     from .rendering import render
     from .synthesis import minimal_modulus, synthesize
 
@@ -248,10 +240,7 @@ def cmd_derive(args, load_cache) -> int:
             {
                 "k": formula.k,
                 "constant": formula.constant,
-                "terms": [
-                    [{"a": x.a, "q": x.q} for x in term.factors]
-                    for term in formula.terms
-                ],
+                "terms": [[x._asdict() for x in term.factors] for term in formula.terms],
                 "natural_modulus": formula.natural_modulus,
                 "minimal_modulus": minimal_modulus(formula),
             }
@@ -265,8 +254,7 @@ def cmd_derive(args, load_cache) -> int:
                 rhs = "1"
             else:
                 rhs = f"gcd(p^{row.exponent} - {row.residue}, {row.modulus})"
-            product = "*".join(str(x) for x in row.factors) if row.factors else "1"
-            print(f"  i={row.i:>2}: {lhs} = {rhs}  -> {product}")
+            print(f"  i={row.i:>2}: {lhs} = {rhs}  -> {_product(row.factors)}")
     print(text)
     return EXIT_OK
 
@@ -312,25 +300,19 @@ def cmd_minimal_modulus(args, load_cache) -> int:
 
 
 def cmd_xreduce(args, load_cache) -> int:
-    from .indicators import reduce_power
+    from .indicators import _product, reduce_power
 
     # A residue outside [0, q) would be echoed unreduced; a modulus below 2
     # is left to reduce_power's own check.
     if args.q >= 2 and not 0 <= args.a < args.q:
         raise ValueError(f"--a must be in [0, {args.q}), got {args.a}")
     factors = reduce_power(args.a, args.q, args.s, load_cache())
-    product = "*".join(str(x) for x in factors) if factors else "1"
     if args.json:
         _emit_json(
-            {
-                "a": args.a,
-                "q": args.q,
-                "s": args.s,
-                "factors": [{"a": x.a, "q": x.q} for x in factors],
-            }
+            {"a": args.a, "q": args.q, "s": args.s, "factors": [x._asdict() for x in factors]}
         )
     else:
-        print(f"X({args.a},{args.q})(n^{args.s}) = {product}")
+        print(f"X({args.a},{args.q})(n^{args.s}) = {_product(factors)}")
     return EXIT_OK
 
 

@@ -8,10 +8,12 @@ The exponent is omitted when it is 1, the factors of 1 are the empty
 product (`1 = `), and `#` starts a comment.  The format is meant to be
 hand-edited, so published factorizations (e.g. Cunningham tables for
 2^m +- 1) can be pasted in when they are out of reach of the built-in
-factoring.  Every entry is re-verified on load -- product check
-plus a primality check of each listed prime -- so a corrupted file is
-rejected loudly instead of silently poisoning downstream results.  A prime
-listed in several entries is proven once per load.
+factoring.  Every entry is re-verified on load (`Factorization.check`:
+structure and product first, an exponent too large for its value refused
+before its power is formed, then a primality check of each listed prime)
+so a corrupted file is rejected loudly instead of silently poisoning
+downstream results.  A prime listed in several entries is proven once per
+load.  Each entry is kept as the verified `Factorization` record itself.
 
 Concurrency: reads are safe from any number of threads; mutation follows a
 single-writer discipline and save() is atomic (write to temp, then rename).
@@ -41,10 +43,10 @@ def format_factors(factors: tuple[tuple[int, int], ...]) -> str:
 
 
 class FactorCache:
-    """In-memory map from integer to its verified prime factorization."""
+    """In-memory map from integer to its verified Factorization record."""
 
     def __init__(self):
-        self._entries: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._entries: dict[int, Factorization] = {}
         self.dirty = False
 
     def __len__(self) -> int:
@@ -54,16 +56,13 @@ class FactorCache:
         return n in self._entries
 
     def get(self, n: int) -> Factorization | None:
-        factors = self._entries.get(n)
-        if factors is None:
-            return None
-        return Factorization(n, factors)
+        return self._entries.get(n)
 
     def put(self, fact: Factorization) -> None:
         """Store a factorization after re-verifying it."""
         fact.check()
-        if self._entries.get(fact.value) != fact.factors:
-            self._entries[fact.value] = fact.factors
+        if self._entries.get(fact.value) != fact:
+            self._entries[fact.value] = fact
             self.dirty = True
 
     def values(self) -> list[int]:
@@ -104,7 +103,7 @@ class FactorCache:
                 fact.check(proven)
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
-            cache._entries[value] = fact.factors
+            cache._entries[value] = fact
         return cache
 
     def save(self, path) -> None:
@@ -112,7 +111,7 @@ class FactorCache:
         A failure raises an OSError that names `path` and the reason, never
         the temp file, whose name changes from run to run."""
         path = Path(path)
-        lines = [f"{n} = {format_factors(self._entries[n])}" for n in sorted(self._entries)]
+        lines = [f"{n} = {format_factors(f.factors)}" for n, f in sorted(self._entries.items())]
         text = "\n".join(lines) + ("\n" if lines else "")
         tmp = None
         try:

@@ -74,12 +74,13 @@ class Factorization(NamedTuple):
     def check(self, proven: set[int] | None = None) -> None:
         """Re-verify all invariants; raises ValueError on any violation.
 
-        Primes in `proven` are not tested again, and every prime this check
-        proves is added to it."""
+        The structure and the product are checked before any prime is
+        proven.  An exponent e >= value.bit_length() is refused before p**e
+        is formed: p**e >= 2**e > value could never divide it, and its digits
+        could be too many to compute or print.  Primes in `proven` are not
+        tested again, and every prime this check proves is added to it."""
         if self.value < 1:
             raise ValueError(f"value must be positive, got {self.value}")
-        if proven is None:
-            proven = set()
         product = 1
         last = 1
         for p, e in self.factors:
@@ -87,14 +88,19 @@ class Factorization(NamedTuple):
                 raise ValueError(f"primes not strictly increasing at {p}")
             if e < 1:
                 raise ValueError(f"exponent of {p} must be >= 1, got {e}")
-            if p not in proven:
-                if not is_prime(p):
-                    raise ValueError(f"{p} is not prime")
-                proven.add(p)
+            if e >= self.value.bit_length():
+                raise ValueError(f"exponent of {p} is too large for the value, got {e}")
             product *= p**e
             last = p
         if product != self.value:
             raise ValueError(f"factors multiply to {product}, not {self.value}")
+        if proven is None:
+            proven = set()
+        for p, _ in self.factors:
+            if p not in proven:
+                if not is_prime(p):
+                    raise ValueError(f"{p} is not prime")
+                proven.add(p)
 
 
 def _iroot(n: int, k: int) -> int:

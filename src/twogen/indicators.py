@@ -56,6 +56,11 @@ def _sort_key(x: Indicator) -> tuple[int, int]:
     return (x.q, x.a)
 
 
+def _product(factors) -> str:
+    """The text of a product of indicators, `X(a,q)*X(b,r)`; 1 when empty."""
+    return "*".join(map(str, factors)) or "1"
+
+
 def decompose(a: int, q: int, cache=None) -> tuple[Indicator, ...]:
     """Split the indicator of a mod q (any q >= 2) into one prime-modulus
     factor per distinct prime of q; their product is the indicator."""

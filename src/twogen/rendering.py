@@ -13,7 +13,7 @@ import itertools
 import math
 from collections import Counter
 
-from .indicators import _residue_model, _sort_key
+from .indicators import _product, _residue_model, _sort_key
 
 # The most cells `render(..., "case-table")` prints: k = 37, the largest
 # table at k <= 40, has 1,114,156; k = 41 has 8,912,944.
@@ -22,10 +22,6 @@ CASE_TABLE_CELLS = 2_000_000
 
 class CaseTableTooLarge(ValueError):
     """The case table has more than CASE_TABLE_CELLS cells."""
-
-
-def _product(factors) -> str:
-    return "*".join(str(x) for x in factors)
 
 
 def _sum(parts: list[str], counts) -> str:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .counting import _survivor_counts
 from .factoring import FactorizationTimeout
-from .indicators import Indicator, _residue_model, _sort_key, reduce_power
+from .indicators import Indicator, _product, _residue_model, _sort_key, reduce_power
 from .primes import class_counts, odd_flagged, odd_prime_flags
 from .reduction import normalize_target, reduce
 # render is not used here: bench/tracing.py wraps twogen.synthesis.render.
@@ -73,7 +73,7 @@ class ProductTerm(_ProductTermFields):
         return result
 
     def __str__(self) -> str:
-        return "*".join(str(x) for x in self.factors)
+        return _product(self.factors)
 
 
 def _term_key(term: ProductTerm) -> tuple:

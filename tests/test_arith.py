@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twogen.arith
 import twogen.factoring
 from twogen.arith import power_roots, primitive_root
 from twogen.factoring import (
@@ -741,3 +742,19 @@ def test_power_roots_at_exponents_not_dividing_q_minus_1_match_sympy():
         for a in (rng.randrange(1, q), pow(rng.randrange(1, q), s, q)):
             want = sympy.nthroot_mod(a, s, q, all_roots=True) or []
             assert power_roots(a, s, q) == sorted(want), (a, s, q)
+
+
+def test_power_roots_read_the_primes_of_d_off_the_sieve(monkeypatch):
+    # The primes of d = gcd(s, q - 1) <= s come from primes_up_to(d); the
+    # factoring is left to the q - 1 of primitive_root.
+    def refuse(n, *args, **kwargs):
+        raise AssertionError(f"power_roots factored {n}")
+
+    monkeypatch.setattr(twogen.arith, "factorize", refuse)
+    for q in primes_up_to(499):
+        for s in range(1, 13):
+            roots: dict[int, list[int]] = {}
+            for x in range(q):
+                roots.setdefault(pow(x, s, q), []).append(x)
+            for a in range(q):
+                assert power_roots(a, s, q) == roots.get(a, []), (a, s, q)

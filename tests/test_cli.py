@@ -832,6 +832,40 @@ def test_json_payloads(capsys, tmp_path, argv, schema, expected):
     assert {key: payload[key] for key in expected} == expected
 
 
+# sha256 of the stdout of each call, recorded when the CLI still copied
+# tuples into lists and spelled out record fields, so passing the records
+# to json.dumps as they are is pinned to the same bytes.
+EXACT_SHA256 = {
+    "modulus --k 12 --json": "45d3534156aabad7d0187febbbdbddbef279f8dca239e312c88734d57106e22c",
+    "count --genus 7 --json --witnesses": (
+        "f0a20c3d919c082d4a9a9572cd03cd0591c1b9104a644f590d7f1b4d58144fd2"
+    ),
+    "count --prime 3 --power 4 --witnesses": (
+        "3aa75f881f42029683132f62435e54480c05482b3bebf2a0145c66dbdde2e2d5"
+    ),
+    "count --prime 3 --power 4 --witnesses --json": (
+        "2377ceeb95cadb0ada4c55798746884698e0286aae64d60ae11da592c221cfb7"
+    ),
+    "verify-dependence --k 6 --prime-bound 5000 --json": (
+        "8bdae0b3aaac2ab04aed314fb19f357536646356bc9b17cad0384fb1789186d7"
+    ),
+    "reduce --alpha 5 --beta 3 --verify --json": (
+        "1efef1c1755b25a4de5f657300178a332e92827abf190afbf081a5bf5db29d96"
+    ),
+    "xreduce --a 5 --q 2047 --s 22 --json": (
+        "e6c82ba53179c06cd595e54305db4a1bcd33e083ec2690126b402eaa315d84e8"
+    ),
+    "xreduce --a 2 --q 7 --s 3": "aa2b2a7f4809967723798680522bc55e250a86d086d49620fe8f116cc04daf4f",
+}
+
+
+@pytest.mark.parametrize("call", EXACT_SHA256)
+def test_outputs_are_byte_identical(capsys, tmp_path, call):
+    code, out, _ = run(capsys, tmp_path, *call.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SHA256[call]
+
+
 def test_modulus_incomplete(capsys, tmp_path, monkeypatch):
     def flaky(n, cache=None, **kwargs):
         if n == 33:

@@ -45,6 +45,8 @@ def test_load_empty_and_missing(tmp_path):
         ("x = 2", "bad integer"),
         ("8 = 2^x", "bad factor"),
         ("12 = ", "multiply to 1, not 12"),
+        # Refused before 2^100000, whose 30,103 digits the message never prints.
+        ("4 = 2^100000", "too large"),
     ],
 )
 def test_load_rejects_bad_lines(tmp_path, line, fragment):
@@ -54,6 +56,18 @@ def test_load_rejects_bad_lines(tmp_path, line, fragment):
         FactorCache.load(path)
     assert info.value.line == 1
     assert fragment in str(info.value)
+    assert len(str(info.value)) < 100
+
+
+def test_load_checks_the_product_before_proving_a_prime(tmp_path, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"proved {n} before checking the product")
+
+    monkeypatch.setattr(twogen.factoring, "is_prime", refuse)
+    path = tmp_path / "factors.txt"
+    path.write_text("12 = 2 * 7\n")
+    with pytest.raises(ParseError, match="multiply to 14, not 12"):
+        FactorCache.load(path)
 
 
 def test_load_rejects_duplicates(tmp_path):
@@ -167,6 +181,15 @@ def test_round_trip_of_one_and_its_empty_product(tmp_path):
     loaded = FactorCache.load(path)
     assert loaded.get(1) == Factorization(1, ())
     assert loaded.get(12) == Factorization(12, ((2, 2), (3, 1)))
+
+
+def test_get_returns_the_record_put_stored():
+    cache = FactorCache()
+    fact = Factorization(10, ((2, 1), (5, 1)))
+    cache.put(fact)
+    assert cache.get(10) is fact
+    cache.put(Factorization(10, ((2, 1), (5, 1))))  # equal: the first is kept
+    assert cache.get(10) is fact
 
 
 def test_put_validates():
