@@ -46,7 +46,6 @@ _EXPORTS = {
     "semigroup": (
         "BudgetExceeded",
         "NotCoprime",
-        "SemigroupNode",
         "TwoGeneratorSemigroup",
         "count_by_genus",
         "count_two_generator",

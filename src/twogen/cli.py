@@ -21,7 +21,7 @@ from operator import getitem
 # The layers of M(k) are imported here; every other layer, and json, is
 # imported by the command that runs it, so `twogen modulus` loads no more.
 from .counting import special_factorizations, surviving_exponents
-from .factor_cache import FactorCache, format_factors
+from .factor_cache import LazyFactorCache, format_factors
 from .factoring import FactorizationTimeout
 from .modulus import dependence_check, modulus_of
 from .primes import check_prime_bound
@@ -56,14 +56,14 @@ def _emit_json_listing(payload: dict, key: str, items) -> None:
     write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
-def cmd_count(args, load_cache) -> int:
+def cmd_count(args, cache) -> int:
     if (args.genus is None) == (args.prime is None):
         raise ValueError("need exactly one of --genus or --prime/--power")
     if (args.prime is None) != (args.power is None):
         given, needed = ("--prime", "--power") if args.power is None else ("--power", "--prime")
         raise ValueError(f"{given} requires {needed}")
     if args.genus is not None:
-        witnesses = special_factorizations(args.genus, load_cache())
+        witnesses = special_factorizations(args.genus, cache)
         payload = {"genus": args.genus, "count": len(witnesses)}
         name = f"n({args.genus},2)"
         lines = [f"  {{{u}, {v}}}" for u, v in witnesses]
@@ -99,7 +99,7 @@ def _joiner(names: list[str], separator: str):
     )
 
 
-def cmd_enumerate(args, load_cache) -> int:
+def cmd_enumerate(args, cache) -> int:
     from .semigroup import count_by_genus, masks_of_genus
 
     counts = count_by_genus(args.genus)
@@ -142,7 +142,7 @@ def cmd_enumerate(args, load_cache) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args, load_cache) -> int:
+def cmd_reduce(args, cache) -> int:
     from .reduction import euclidean_trace, normalize_target, reduce, verify_reduction
 
     trace = euclidean_trace(args.alpha, args.beta)
@@ -179,8 +179,8 @@ def cmd_reduce(args, load_cache) -> int:
     return EXIT_OK
 
 
-def cmd_modulus(args, load_cache) -> int:
-    report = modulus_of(args.k, load_cache())
+def cmd_modulus(args, cache) -> int:
+    report = modulus_of(args.k, cache)
     if args.json:
         _emit_json(
             {
@@ -205,8 +205,8 @@ def cmd_modulus(args, load_cache) -> int:
     return EXIT_OK if report.complete else EXIT_BLOCKED
 
 
-def cmd_verify_dependence(args, load_cache) -> int:
-    report = dependence_check(args.k, args.prime_bound, load_cache())
+def cmd_verify_dependence(args, cache) -> int:
+    report = dependence_check(args.k, args.prime_bound, cache)
     if args.json:
         _emit_json(
             {
@@ -229,12 +229,12 @@ def cmd_verify_dependence(args, load_cache) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def cmd_derive(args, load_cache) -> int:
+def cmd_derive(args, cache) -> int:
     from .indicators import _product
     from .rendering import render
     from .synthesis import minimal_modulus, synthesize
 
-    formula = synthesize(args.k, load_cache())
+    formula = synthesize(args.k, cache)
     if args.json:
         _emit_json(
             {
@@ -259,10 +259,10 @@ def cmd_derive(args, load_cache) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, load_cache) -> int:
+def cmd_verify(args, cache) -> int:
     from .synthesis import synthesize, verify_formula
 
-    formula = synthesize(args.k, load_cache())
+    formula = synthesize(args.k, cache)
     check = verify_formula(formula, args.prime_bound)
     if args.json:
         _emit_json(check._asdict())
@@ -278,10 +278,10 @@ def cmd_verify(args, load_cache) -> int:
     return EXIT_OK if check.ok else EXIT_MISMATCH
 
 
-def cmd_minimal_modulus(args, load_cache) -> int:
+def cmd_minimal_modulus(args, cache) -> int:
     from .synthesis import minimal_modulus, synthesize
 
-    formula = synthesize(args.k, load_cache())
+    formula = synthesize(args.k, cache)
     minimal = minimal_modulus(formula)
     if args.json:
         _emit_json(
@@ -299,14 +299,14 @@ def cmd_minimal_modulus(args, load_cache) -> int:
     return EXIT_OK
 
 
-def cmd_xreduce(args, load_cache) -> int:
+def cmd_xreduce(args, cache) -> int:
     from .indicators import _product, reduce_power
 
     # A residue outside [0, q) would be echoed unreduced; a modulus below 2
     # is left to reduce_power's own check.
     if args.q >= 2 and not 0 <= args.a < args.q:
         raise ValueError(f"--a must be in [0, {args.q}), got {args.a}")
-    factors = reduce_power(args.a, args.q, args.s, load_cache())
+    factors = reduce_power(args.a, args.q, args.s, cache)
     if args.json:
         _emit_json(
             {"a": args.a, "q": args.q, "s": args.s, "factors": [x._asdict() for x in factors]}
@@ -444,14 +444,7 @@ def main(argv=None) -> int:
     if "prime_bound" in args and _exit_code(check_prime_bound, args.prime_bound):
         return EXIT_USAGE
     _, handler, _ = COMMANDS[args.command]
-    loaded: list[FactorCache] = []
-
-    def load_cache() -> FactorCache:
-        # Read on first use, so a command that never factors never reads it.
-        if not loaded:
-            loaded.append(FactorCache.load(args.factor_cache))
-        return loaded[0]
-
+    cache = LazyFactorCache(args.factor_cache)
     # Integers print whole, a modulus of any length too.  argv was parsed
     # under Python's limit on digits, which callers in process get back.
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -459,13 +452,13 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     saved = EXIT_OK
     try:
-        code = _exit_code(handler, args, load_cache)
+        code = _exit_code(handler, args, cache)
     finally:
         # On every exit, a timeout too: the next run starts from what was
         # factored.  A failed save is reported after the command's own
         # outcome, and decides the code only when the command succeeded.
-        if loaded and loaded[0].dirty:
-            saved = _exit_code(loaded[0].save, args.factor_cache)
+        if cache.dirty:
+            saved = _exit_code(cache.save, args.factor_cache)
         if digits is not None:
             sys.set_int_max_str_digits(digits)
     return code or saved

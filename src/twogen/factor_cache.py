@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from functools import cached_property
 from pathlib import Path
 
 from .factoring import Factorization
@@ -125,3 +126,17 @@ class FactorCache:
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
         self.dirty = False
+
+
+class LazyFactorCache(FactorCache):
+    """The cache of one file, read by `FactorCache.load` the first time an
+    entry is looked up, stored or counted, so that a run that never touches
+    an entry never reads the file."""
+
+    def __init__(self, path):
+        self.path = path
+        self.dirty = False
+
+    @cached_property
+    def _entries(self) -> dict[int, Factorization]:
+        return FactorCache.load(self.path)._entries

@@ -81,12 +81,13 @@ def dependence_check(k: int, prime_bound: int, cache=None) -> DependenceReport:
     """Group odd primes p <= bound (p not dividing M(k)) by p mod M(k) and
     confirm the direct count n(p^k,2) is constant within each group.  The
     sweep takes the sieve flags of every odd prime, and the primes of M(k)
-    are skipped as the counts are read back.  Raises the FactorizationTimeout
-    of the least unfactored m_k(i), hunting no larger one, and ValueError
-    when every odd prime <= bound divides M(k)."""
+    are skipped as the counts are read back.  k is checked before the sieve.
+    Raises the FactorizationTimeout of the least unfactored m_k(i), hunting
+    no larger one, and ValueError when every odd prime <= bound divides M(k)."""
+    moduli = _row_moduli(k)[1]
     flags = odd_prime_flags(prime_bound)
     support: set[int] = set()
-    for m in _row_moduli(k)[1]:
+    for m in moduli:
         support.update(p for p, _ in factorize(m, cache).factors)
     m = math.prod(support)
     checked = flags.count(1) - sum(q <= prime_bound for q in support)

@@ -40,10 +40,14 @@ def _grouped(terms):
     behind; this reproduces groupings like X*(3 + Y + Z).  The terms come in
     canonical order, so the cofactors left by one factor do too.
     """
-    remaining = list(Counter(term.factors for term in terms).items())
+    counts = Counter(term.factors for term in terms)  # in order of first appearance
+    holders: dict = {}  # factor -> the summands that have it, in that order
+    for factors in counts:
+        for x in factors:
+            holders.setdefault(x, []).append(factors)
     groups = []
-    for x in sorted({x for factors, _ in remaining for x in factors}, key=_sort_key):
-        members = [(f, c) for f, c in remaining if x in f]
+    for x in sorted(holders, key=_sort_key):
+        members = [(f, counts[f]) for f in holders[x] if f in counts]
         if sum(c for _, c in members) < 2 or all(len(f) == 1 for f, _ in members):
             continue
         inner_const = sum(c for f, c in members if len(f) == 1)
@@ -51,7 +55,9 @@ def _grouped(terms):
             (tuple(y for y in f if y != x), c) for f, c in members if len(f) > 1
         ]
         groups.append((x, inner_const, inner_terms))
-        remaining = [(f, c) for f, c in remaining if x not in f]
+        for f, _ in members:
+            del counts[f]
+    remaining = list(counts.items())
     return remaining, groups
 
 

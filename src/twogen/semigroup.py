@@ -9,19 +9,22 @@ walk of the standard tree, whose children remove one minimal generator
 beyond the Frobenius number; each child's gaps and minimal generators
 follow from its parent's (Fromentin & Hivert, *Exploring the tree of
 numerical semigroups*, 2016).  As there, the walk runs on bit vectors: each
-node is a generator mask and a gap mask, and a node the census keeps packs
-the two into one int.  The census is the independent oracle the rest of
-the package is validated against.
+node is a generator mask and a gap mask, and a census level holds each
+semigroup as the two packed into one int.  The census is the independent
+oracle the rest of the package is validated against.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import compress, count
 from typing import NamedTuple
 
 GENUS_CAP = 25
+# Where the gap half of a census entry starts: every minimal generator of a
+# semigroup of genus g <= GENUS_CAP is at most 2g + 1 < SHIFT.
+SHIFT = 2 * GENUS_CAP + 2
+_GENERATORS = (1 << SHIFT) - 1
 
 
 class NotCoprime(ValueError):
@@ -52,90 +55,6 @@ class TwoGeneratorSemigroup(_TwoGeneratorFields):
         return tuple.__new__(cls, (a, b))
 
 
-class SemigroupNode:
-    """One census entry: minimal generators, gap set, genus.
-
-    A node of genus g holds its gaps and generators as one packed int: bit
-    s is set iff s is a gap, and bit 2g + 2 + s iff s is a minimal
-    generator.  Both are at most 2g + 1, so the two halves never overlap.
-    The first read of either tuple decodes both, in increasing order, and
-    the node keeps them.
-    """
-
-    __slots__ = ("_masks", "genus", "_tuples")
-
-    def __init__(self, generators: tuple[int, ...], gaps: tuple[int, ...], genus: int):
-        if genus != len(gaps):
-            raise ValueError(f"genus must equal len(gaps) = {len(gaps)}, got {genus!r}")
-        # Every minimal generator and gap of a genus-g semigroup is <= 2g + 1;
-        # the bound also keeps the masks small.
-        largest = 2 * len(gaps) + 1
-        generator_mask = _mask_of(generators, "generators", largest)
-        gap_mask = _mask_of(gaps, "gaps", largest)
-        _set_masks(self, gap_mask | generator_mask << (largest + 1))
-        _set_genus(self, genus)
-
-    def _decoded(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        try:
-            return self._tuples
-        except AttributeError:
-            tuples = (_members(self.generator_mask), _members(self.gap_mask))
-            _set_tuples(self, tuples)
-            return tuples
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        return self._decoded()[0]
-
-    @property
-    def gaps(self) -> tuple[int, ...]:
-        return self._decoded()[1]
-
-    @property
-    def generator_mask(self) -> int:
-        """The generators as a bitmask: bit s is set iff s is one of them."""
-        return self._masks >> (2 * self.genus + 2)
-
-    @property
-    def gap_mask(self) -> int:
-        """The gaps as a bitmask: bit s is set iff s is a gap."""
-        return self._masks & ((1 << (2 * self.genus + 2)) - 1)
-
-    def _key(self) -> tuple:
-        return (self._masks, self.genus)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"SemigroupNode(generators={self.generators!r}, gaps={self.gaps!r},"
-            f" genus={self.genus!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SemigroupNode, (self.generators, self.gaps, self.genus)
-
-
-# The slots' own setters: a census builds 10^5 and more nodes, and these
-# skip the refusing __setattr__ without an object.__setattr__ call per field.
-_set_masks = SemigroupNode._masks.__set__
-_set_genus = SemigroupNode.genus.__set__
-_set_tuples = SemigroupNode._tuples.__set__
-_new_node = object.__new__
-
-
 _DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -144,24 +63,6 @@ def bit_flags(mask: int) -> bytes:
     1 iff bit s is set.  `itertools.compress(labels, bit_flags(mask))` picks
     the labels of the set bits without a Python-level loop."""
     return bin(mask)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    return tuple(compress(count(), bit_flags(mask)))
-
-
-def _mask_of(values, field: str, largest: int) -> int:
-    """The bitmask of a strictly increasing tuple of ints in 1..largest."""
-    mask = 0
-    previous = 0
-    for value in values:
-        if not isinstance(value, int) or not previous < value <= largest:
-            raise ValueError(
-                f"{field} must be strictly increasing ints in 1..{largest}, got {values!r}"
-            )
-        mask |= 1 << value
-        previous = value
-    return mask
 
 
 def sylvester_genus(s: TwoGeneratorSemigroup) -> int:
@@ -230,20 +131,20 @@ def _walk(max_genus: int) -> Iterator[tuple[int, int, int]]:
             m = (gens & (bit - 1)).bit_length() - 1
 
 
-def enumerate_by_genus(max_genus: int) -> list[list[SemigroupNode]]:
+def enumerate_by_genus(max_genus: int) -> list[list[int]]:
     """All numerical semigroups of genus 0..max_genus, one list per genus.
 
-    Children of a semigroup S are S minus one minimal generator above the
-    Frobenius number, which reaches every semigroup exactly once.  Levels
-    are sorted by gap set, so output order is deterministic.
+    Each semigroup is one int, `generators | gaps << SHIFT`: bit s is set
+    iff s is a minimal generator, and bit SHIFT + s iff s is a gap.  Genus 0
+    is `[0b10]`, the generator 1 and no gap.  Children of a semigroup S are
+    S minus one minimal generator above the Frobenius number, which reaches
+    every semigroup exactly once.  Levels are sorted by gap set, so output
+    order is deterministic.
     """
     _check_genus(max_genus)
-    levels: list[list[SemigroupNode]] = [[] for _ in range(max_genus + 1)]
+    levels: list[list[int]] = [[] for _ in range(max_genus + 1)]
     for genus, gens, holes in _walk(max_genus):
-        node = _new_node(SemigroupNode)  # unchecked: the walk built the masks
-        _set_masks(node, holes | gens << (2 * genus + 2))
-        _set_genus(node, genus)
-        levels[genus].append(node)
+        levels[genus].append(gens | holes << SHIFT)
     return levels
 
 
@@ -251,7 +152,7 @@ def count_by_genus(max_genus: int) -> list[tuple[int, int]]:
     """(total, two-generator) census counts for genus 0..max_genus.
 
     Equal to the sizes and `count_two_generator` values of the levels of
-    `enumerate_by_genus`, without building any node.
+    `enumerate_by_genus`, without building any level.
     """
     _check_genus(max_genus)
     totals = [0] * (max_genus + 1)
@@ -271,7 +172,6 @@ def masks_of_genus(genus: int) -> Iterator[tuple[int, int]]:
     return ((gens, holes) for g, gens, holes in _walk(genus) if g == genus)
 
 
-def count_two_generator(nodes: list[SemigroupNode]) -> int:
+def count_two_generator(level: list[int]) -> int:
     """How many census entries have a minimal generating set of size exactly 2."""
-    # A node of genus g has g gap bits, so 2 generators make g + 2 bits in all.
-    return sum(1 for node in nodes if node._masks.bit_count() == node.genus + 2)
+    return sum(1 for entry in level if (entry & _GENERATORS).bit_count() == 2)

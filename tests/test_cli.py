@@ -10,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from census_entries import decode
 from jsonschema import validate
 
 from twogen import cli
@@ -174,8 +175,8 @@ def test_enumerate_json_listing_matches_one_dump(capsys, tmp_path):
                 for g, level in enumerate(levels)
             ],
             "semigroups": [
-                {"gaps": list(n.gaps), "generators": list(n.generators)}
-                for n in levels[genus]
+                {"gaps": list(gaps), "generators": list(generators)}
+                for generators, gaps in map(decode, levels[genus])
             ],
         }
         code, out, _ = run(capsys, tmp_path, "enumerate", "--genus", str(genus), "--json")
@@ -905,6 +906,39 @@ def test_only_commands_that_factor_read_the_cache(capsys, tmp_path):
         out = capsys.readouterr()
         assert (code, out.out) == (2, ""), argv
         assert out.err == "error: line 1: factors multiply to 21, not 15\n"
+    assert corrupt.read_text() == "15 = 3 * 7\n"
+
+
+# An argument out of range is refused with its own message, before the
+# factor cache is opened.
+REFUSED_BEFORE_THE_CACHE = {
+    ("derive", "--k", "0"): "k must be >= 1, got 0",
+    ("modulus", "--k", "0"): "k must be >= 1, got 0",
+    ("verify", "--k", "0"): "k must be >= 1, got 0",
+    ("minimal-modulus", "--k", "0"): "k must be >= 1, got 0",
+    ("verify-dependence", "--k", "0"): "k must be >= 1, got 0",
+    ("count", "--genus", "0"): "genus must be >= 1, got 0",
+    ("xreduce", "--a", "1", "--q", "1", "--s", "1"): "modulus must be >= 2, got 1",
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_BEFORE_THE_CACHE, ids=" ".join)
+def test_an_argument_out_of_range_is_refused_before_the_cache_is_read(
+    capsys, tmp_path, monkeypatch, argv
+):
+    expected = (2, "", f"error: {REFUSED_BEFORE_THE_CACHE[argv]}\n")
+    corrupt = tmp_path / "corrupt.txt"
+    corrupt.write_text("15 = 3 * 7\n")
+    code = cli.main([*argv, "--factor-cache", str(corrupt)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == expected
+
+    def unread(path):
+        raise AssertionError(f"the factor cache {path} was read")
+
+    monkeypatch.setattr(FactorCache, "load", unread)
+    code, out, err = run(capsys, tmp_path, *argv)
+    assert (code, out, err) == expected
     assert corrupt.read_text() == "15 = 3 * 7\n"
 
 

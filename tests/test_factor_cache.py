@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import twogen.factoring
 from twogen.factoring import Factorization, FactorizationTimeout, factorize
-from twogen.factor_cache import FactorCache, ParseError
+from twogen.factor_cache import FactorCache, LazyFactorCache, ParseError
 from twogen.counting import row_modulus
 
 
@@ -32,6 +32,26 @@ def test_load_empty_and_missing(tmp_path):
     path.write_text("")
     assert len(FactorCache.load(path)) == 0
     assert len(FactorCache.load(tmp_path / "absent.txt")) == 0
+
+
+def test_lazy_cache_reads_its_file_on_the_first_entry(tmp_path, monkeypatch):
+    path = tmp_path / "factors.txt"
+    path.write_text("15 = 3 * 7\n")
+    lazy = LazyFactorCache(path)  # nothing read yet
+    assert not lazy.dirty
+    with pytest.raises(ParseError, match="^line 1: factors multiply to 21, not 15$"):
+        lazy.get(15)
+    path.write_text("10 = 2 * 5\n")
+    assert lazy.get(10).factors == ((2, 1), (5, 1))
+
+    def unread(path):
+        raise AssertionError("read twice")
+
+    monkeypatch.setattr(FactorCache, "load", unread)
+    lazy.put(Factorization(6, ((2, 1), (3, 1))))
+    assert lazy.dirty and len(lazy) == 2
+    lazy.save(path)
+    assert path.read_text() == "6 = 2 * 3\n10 = 2 * 5\n"
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,15 @@ def test_dependence_needs_an_odd_prime():
     assert dependence_check(1, 5).ok
 
 
+def test_dependence_checks_k_before_the_sieve(monkeypatch):
+    def unsieved(bound):
+        raise AssertionError(f"sieved to {bound}")
+
+    monkeypatch.setattr(modulus_mod, "odd_prime_flags", unsieved)
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        dependence_check(0, 10**10)
+
+
 def test_dependence_needs_a_prime_outside_m_k():
     # 3 divides M(k) for every k, so a bound of 3 leaves no prime to sweep.
     for k in range(1, 5):

@@ -15,7 +15,7 @@ PUBLIC = {
     "BudgetExceeded", "CountingFormula", "EuclideanTrace", "FactorCache",
     "Factorization", "FactorizationTimeout", "Indicator", "ModulusReport",
     "NotCoprime", "NotOddPrime", "ParseError", "ProductTerm",
-    "ReducedGcd", "SemigroupNode", "SynthesisBlocked", "TwoGeneratorSemigroup",
+    "ReducedGcd", "SynthesisBlocked", "TwoGeneratorSemigroup",
     "count_by_genus", "count_prime_power", "count_special", "count_two_generator",
     "decompose", "dependence_check", "divisors", "enumerate_by_genus",
     "euclidean_trace", "expand_power", "factorize", "gap_set", "is_prime",

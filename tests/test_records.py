@@ -16,12 +16,7 @@ from twogen.reduction import (
     euclidean_trace,
     reduce,
 )
-from twogen.semigroup import (
-    NotCoprime,
-    SemigroupNode,
-    TwoGeneratorSemigroup,
-    enumerate_by_genus,
-)
+from twogen.semigroup import NotCoprime, TwoGeneratorSemigroup
 from twogen.synthesis import (
     CountingFormula,
     FormulaCheck,
@@ -124,13 +119,6 @@ RECORDS = {
         "CountingFormula(k=3, constant=2, terms=(ProductTerm(factors=(Indicator(a=2,"
         " q=3),)), ProductTerm(factors=(Indicator(a=2, q=11),))))",
     ),
-    "SemigroupNode": (
-        lambda: SemigroupNode((3, 4, 5), (1, 2), 2),
-        lambda: SemigroupNode((3, 4, 5), (1, 2), 2),
-        lambda: SemigroupNode((2, 5), (1, 3), 2),
-        ("generators", "gaps", "genus"),
-        "SemigroupNode(generators=(3, 4, 5), gaps=(1, 2), genus=2)",
-    ),
 }
 
 
@@ -177,46 +165,3 @@ def test_records_validate_on_construction():
         TwoGeneratorSemigroup(4, 6)
     with pytest.raises(ValueError):
         TwoGeneratorSemigroup(5, 3)
-    bad_nodes = [
-        ((5, 3), (1,), 7),  # generators out of order, genus not len(gaps)
-        ((5, 3), (1, 2), 2),  # generators out of order
-        ((3, 3, 4, 5), (1, 2), 2),  # a repeated generator
-        ((3, 4, 5), (2, 1), 2),  # gaps out of order
-        ((3, 4, 5), (1, 1), 2),  # a repeated gap
-        ((0, 3, 4), (1, 2), 2),  # generator 0
-        ((3, 4, 5), (-1, 2), 2),  # a negative gap
-        ((3, 4, 5), (1, 2), 3),  # genus is not len(gaps)
-        ((3, 4, 5), (1, 2), 1),
-        ((3, 4, 5.0), (1, 2), 2),  # not an int
-        (("3", "4", "5"), (1, 2), 2),
-        ((2, 10**12), (1,), 1),  # beyond 2*genus + 1, the largest possible generator
-        ((3, 4, 5), (1, 7), 2),  # a gap beyond 2*genus + 1
-    ]
-    for generators, gaps, genus in bad_nodes:
-        with pytest.raises(ValueError):
-            SemigroupNode(generators, gaps, genus)
-    assert SemigroupNode([3, 4, 5], [1, 2], 2) == SemigroupNode((3, 4, 5), (1, 2), 2)
-
-
-def test_census_nodes_are_records():
-    nodes = [node for level in enumerate_by_genus(8) for node in level]
-    assert len(nodes) == 1 + 1 + 2 + 4 + 7 + 12 + 23 + 39 + 67
-    public = ("generator_mask", "gap_mask", "genus", "generators", "gaps")
-    fields = (*SemigroupNode.__slots__, *public)
-
-    def assert_refuses_changes(node):
-        for field in fields:
-            with pytest.raises(AttributeError):
-                setattr(node, field, None)
-            with pytest.raises(AttributeError):
-                delattr(node, field)
-
-    for node in nodes:
-        assert_refuses_changes(node)  # tuples not decoded yet
-        rebuilt = SemigroupNode(node.generators, node.gaps, node.genus)
-        assert node == rebuilt and hash(node) == hash(rebuilt)
-        assert pickle.loads(pickle.dumps(node)) == node
-        assert_refuses_changes(node)
-        assert node == rebuilt
-    # Distinct semigroups are distinct records, also as set members.
-    assert len(set(nodes)) == len(nodes)

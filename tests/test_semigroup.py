@@ -1,15 +1,15 @@
 import bisect
 import math
-import pickle
 import tracemalloc
 from itertools import combinations
 
 import pytest
+from census_entries import decode, pack, unpack
 
 from twogen.semigroup import (
+    SHIFT,
     BudgetExceeded,
     NotCoprime,
-    SemigroupNode,
     TwoGeneratorSemigroup,
     _walk,
     count_by_genus,
@@ -88,13 +88,8 @@ def test_enumeration_level_sizes():
 
 
 def test_enumeration_genus_zero():
-    levels = enumerate_by_genus(0)
-    assert len(levels) == 1 and len(levels[0]) == 1
-    node = levels[0][0]
-    assert node.generators == (1,) and node.gaps == () and node.genus == 0
-    assert (node.generator_mask, node.gap_mask) == (0b10, 0)
-    built = SemigroupNode((1,), (), 0)
-    assert built == node and hash(built) == hash(node)
+    assert enumerate_by_genus(0) == [[0b10]]
+    assert decode(0b10) == ((1,), ())
 
 
 def test_enumeration_budget():
@@ -113,18 +108,19 @@ def test_enumeration_budget():
 
 def test_nodes_are_consistent():
     levels = enumerate_by_genus(12)
-    for g, nodes in enumerate(levels):
+    for g, entries in enumerate(levels):
         seen = set()
-        for node in nodes:
-            assert node.genus == g
-            assert len(node.gaps) == g
-            assert 0 not in node.gaps
-            assert node.gaps not in seen
-            seen.add(node.gaps)
+        for entry in entries:
+            generators, gaps = decode(entry)
+            assert len(gaps) == g
+            assert 0 not in gaps and 0 not in generators
+            assert max(generators) <= 2 * g + 1 < SHIFT
+            assert gaps not in seen
+            seen.add(gaps)
             # additive consistency: gap minus member is again a gap
-            gapset = set(node.gaps)
+            gapset = set(gaps)
             members = [n for n in range(1, 2 * g + 2) if n not in gapset]
-            for x in node.gaps:
+            for x in gaps:
                 for s in members:
                     if s >= x:
                         break
@@ -133,13 +129,12 @@ def test_nodes_are_consistent():
 
 def test_two_generator_nodes_have_coprime_generators():
     levels = enumerate_by_genus(10)
-    for g, nodes in enumerate(levels):
-        for node in nodes:
-            if len(node.generators) == 2:
-                a, b = node.generators
-                s = TwoGeneratorSemigroup(a, b)
+    for g, entries in enumerate(levels):
+        for generators, gaps in map(decode, entries):
+            if len(generators) == 2:
+                s = TwoGeneratorSemigroup(*generators)
                 assert sylvester_genus(s) == g
-                assert gap_set(s) == node.gaps
+                assert gap_set(s) == gaps
 
 
 def test_count_two_generator_examples():
@@ -147,7 +142,7 @@ def test_count_two_generator_examples():
     assert count_two_generator(levels[1]) == 1  # only <2,3>
     assert count_two_generator(levels[0]) == 0
     assert count_two_generator(levels[4]) == 2  # <2,9> and <3,5>
-    gens = {n.generators for n in levels[4] if len(n.generators) == 2}
+    gens = {gens for gens, _ in map(decode, levels[4]) if len(gens) == 2}
     assert gens == {(2, 9), (3, 5)}
 
 
@@ -155,42 +150,29 @@ def _mask(values):
     return sum(1 << s for s in values)
 
 
-# Hand-built nodes at the edges of the packing: a gap and a generator at
-# 2g + 1, the constructor's bound, next to a generator at 1, and the genus-0
-# node, whose gap half is empty.
-@pytest.mark.parametrize(
-    "generators, gaps, genus",
-    [((1, 4, 5), (2, 5), 2), ((3, 4, 5), (1, 5), 2), ((7,), (1, 2, 7), 3), ((1,), (), 0)],
-)
-def test_packed_node_edges(generators, gaps, genus):
-    node = SemigroupNode(generators, gaps, genus)
-    assert node.generator_mask == _mask(generators)
-    assert node.gap_mask == _mask(gaps)
-    assert (node.generators, node.gaps, node.genus) == (generators, gaps, genus)
-    assert pickle.loads(pickle.dumps(node)) == node
-
-
 def test_node_masks_match_their_tuples():
-    for nodes in enumerate_by_genus(10):
-        for node in nodes:
-            assert node.generator_mask == _mask(node.generators)
-            assert node.gap_mask == _mask(node.gaps)
-        assert count_two_generator(nodes) == sum(len(n.generators) == 2 for n in nodes)
+    for entries in enumerate_by_genus(10):
+        for entry in entries:
+            generators, gaps = decode(entry)
+            assert unpack(entry) == (_mask(generators), _mask(gaps))
+            assert pack(*unpack(entry)) == entry
+        decoded = [len(generators) == 2 for generators, _ in map(decode, entries)]
+        assert count_two_generator(entries) == sum(decoded)
 
 
 def test_census_nodes_take_at_most_112_bytes_each():
-    # Node, packed int and list slot come to about 98 bytes on Python 3.11,
-    # against 145 with one int per mask in a slot of its own; the bound
-    # sits between the two layouts.
+    # An entry, its int and list slot, comes to about 45 bytes on Python
+    # 3.11, against 98 for the record node that packed the same int; the
+    # bound sits between the two layouts, well under the name's 112.
     tracemalloc.start()
     try:
         levels = enumerate_by_genus(16)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    nodes = sum(map(len, levels))
-    assert nodes == 11770
-    assert held / nodes <= 112, held / nodes
+    entries = sum(map(len, levels))
+    assert entries == 11770
+    assert held / entries <= 72, held / entries
 
 
 def test_enumeration_is_deterministic():
@@ -225,7 +207,8 @@ def _minimal_generators(mask, width):
 def _enumerate_level_by_level(max_genus):
     """The census rebuilt from scratch at every node, one genus at a time:
     membership bitmaps, generators by pairwise sums, gaps by a mask scan,
-    and each level sorted by gaps at the end."""
+    and each level sorted by gaps at the end, each entry packed as
+    `enumerate_by_genus` packs it."""
     width = 2 * max_genus + 2
     levels = []
     current = [((1 << width) - 1, -1)]  # (mask, frobenius)
@@ -235,13 +218,13 @@ def _enumerate_level_by_level(max_genus):
         for mask, frobenius in current:
             gens = _minimal_generators(mask, width)
             gaps = tuple(i for i in range(1, width) if not mask >> i & 1)
-            nodes.append(SemigroupNode(gens, gaps, g))
+            nodes.append((gaps, pack(_mask(gens), _mask(gaps))))
             if g < max_genus:
                 for m in gens:
                     if m > frobenius:
                         next_level.append((mask & ~(1 << m), m))
-        nodes.sort(key=lambda node: node.gaps)
-        levels.append(nodes)
+        nodes.sort()
+        levels.append([entry for _, entry in nodes])
         current = next_level
     return levels
 
@@ -257,8 +240,8 @@ def test_enumeration_matches_level_by_level_oracle():
 
 
 def test_enumeration_levels_sorted_by_gaps(census_20):
-    for nodes in census_20:
-        gaps = [node.gaps for node in nodes]
+    for entries in census_20:
+        gaps = [decode(entry)[1] for entry in entries]
         assert gaps == sorted(gaps)
 
 
@@ -274,8 +257,7 @@ def test_count_by_genus_matches_full_levels(census_20):
 
 def test_masks_of_genus_match_the_last_level(census_20):
     for g in range(21):
-        want = [(node.generator_mask, node.gap_mask) for node in census_20[g]]
-        assert list(masks_of_genus(g)) == want, g
+        assert list(masks_of_genus(g)) == list(map(unpack, census_20[g])), g
 
 
 def _walk_tuples(max_genus):

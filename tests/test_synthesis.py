@@ -506,6 +506,44 @@ def test_render_factored():
     assert "X(2,5)*(1 + X(6,13))" in text7
 
 
+def _grouped_by_rescan(terms):
+    """`rendering._grouped` as it was written first: the remaining summands
+    rescanned once per distinct factor.  The test-only oracle of the
+    indexed version."""
+    remaining = list(Counter(term.factors for term in terms).items())
+    groups = []
+    for x in sorted({x for factors, _ in remaining for x in factors}, key=lambda x: (x.q, x.a)):
+        members = [(f, c) for f, c in remaining if x in f]
+        if sum(c for _, c in members) < 2 or all(len(f) == 1 for f, _ in members):
+            continue
+        inner_const = sum(c for f, c in members if len(f) == 1)
+        inner_terms = [(tuple(y for y in f if y != x), c) for f, c in members if len(f) > 1]
+        groups.append((x, inner_const, inner_terms))
+        remaining = [(f, c) for f, c in remaining if x not in f]
+    return remaining, groups
+
+
+def test_grouping_matches_the_rescan():
+    for k in range(1, 63):
+        terms = synthesize(k).terms
+        assert rendering._grouped(terms) == _grouped_by_rescan(terms), k
+
+
+SMALL_FACTORS = [Indicator(a, q) for q in (3, 5, 7) for a in range(q)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3), max_size=12
+    )
+)
+def test_grouping_matches_the_rescan_on_shared_factors(products):
+    # Few factors, so that most of them are shared and many groups form.
+    terms = [ProductTerm(factors) for factors in products]
+    assert rendering._grouped(terms) == _grouped_by_rescan(terms)
+
+
 def test_render_case_table():
     text = render(GOLDEN[9], "case-table")
     base_values = []
