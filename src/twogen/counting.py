@@ -27,22 +27,23 @@ flags, a bytearray with byte p set at each swept prime
 on the residues mod 30 it flags (8 for the primes above 5), applies each
 class to each of them with one slice and reads the surviving rows back at
 the flagged p, so no list of the primes is built unless a row keeps a
-rough part (below).  The sweep names q by trial division by the swept
-primes, read off the same flags only as far as the division goes, and, as
-soon as `primes.is_prime` proves it prime (it is exact below 3.317e24,
-Sorenson and Webster 2017), by the cofactor left of a row; a cofactor
-above every swept prime can only hit p = x.  The classes
-(x^i = -1, 2 x^j = -1 mod q) come from Bezout: with g = gcd(i, j) = u i + v j
-they are empty or the g-th roots of t = (-1)^u (-1/2)^v.  Each row costs
-two powers of t and, when both pass, one call of `arith.power_roots`,
-whose classes are then checked.
+rough part (below).  The sweep splits each m = 2^s -+ 1 into the
+cyclotomic values Phi_d(2) (`factoring._cyclotomic_pieces`), whose primes
+are 1 mod lcm(2, d) or the largest prime of d (Brillhart et al.,
+Factorizations of b^n +- 1), and names q by trial division of a piece by
+just those swept primes, or once `primes.is_prime` proves a piece or what
+is left of it prime (exact below 3.317e24, Sorenson and Webster 2017); a
+prime above every swept prime can only hit p = x.  By Bezout, with
+g = gcd(i, j) = u i + v j, the classes (x^i = -1, 2 x^j = -1 mod q) are
+empty or the g-th roots of t = (-1)^u (-1/2)^v: two powers of t per row
+and, when both pass, one `arith.power_roots`, whose classes are checked.
 
 What neither way names, the rough part r of m -- a composite of primes
 the sweep does not flag (above its largest prime, or skipped by a sweep
 that leaves primes out), or a prime too large to prove -- shares one
 screen with the other rows' rough parts, which runs over the list of the
 swept primes.  Over the odd primes up to 2*10^5 no row keeps one at any
-k <= 52, 54, 56 or 60.  Since
+k <= 64 but 53, 55, 57, 59, 61 and 63.  Since
 2 p^j (p^i + 1) - (2 p^j + 1) = 2 p^k - 1, every row gcd divides
 2 p^k - 1; with L the lcm of the rough parts, a prime with
 gcd(L, 2 p^k - 1) = 1 keeps every rough part at once, and one gcd of L with
@@ -56,9 +57,10 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain, compress
 
 from .arith import power_roots
-from .factoring import divisors, factorize
+from .factoring import _cyclotomic_pieces, divisors, factorize
 from .primes import _MR_DETERMINISTIC_BELOW, class_counts, is_prime, odd_flagged
 
 
@@ -118,8 +120,9 @@ def _row_survives(p: int, i: int, j: int, m: int) -> bool:
 
 
 def _surviving_exponents(p: int, k: int) -> list[int]:
-    """surviving_exponents without validation: `_row_survives` on every row."""
-    return [i for i, j, m in _row_table(k) if _row_survives(p, i, j, m)]
+    """surviving_exponents without validation: `_row_survives` on every row,
+    each row modulus made as it is read, so no table of the rows is held."""
+    return [i for i in range(k + 1) if _row_survives(p, i, k - i, row_modulus(k, i))]
 
 
 # Primes per batch of the rough-part screen: one gcd for the whole batch,
@@ -166,48 +169,60 @@ def _prime_tables(
 
     First, per row i, its kill classes: the (x, q) with q an odd prime of
     the row modulus and x a class at which q divides the row gcd at every
-    p = x mod q, in increasing q.  The q are named two ways: by trial
-    division of the odd parts of the row moduli by the swept primes, read
-    off the flags lazily, so the division reads them only until nothing is
-    left to divide; and as a cofactor, what is left of a row's odd part, as
-    soon as `is_prime` proves it prime (it is exact below
-    `_MR_DETERMINISTIC_BELOW`).  A cofactor above the largest swept prime
-    can only hit p = x.  Second, the rows (i, j, r) whose rough part r --
-    what neither way names: a composite of primes the flags do not set, or
-    a prime too large to prove -- is above 1.  A sweep of every odd prime up
-    to its largest one names every q up to it; one that leaves primes out
-    hands theirs to the rough screen, which stays exact.
+    p = x mod q, in increasing q.  A row's odd part that `is_prime` proves
+    prime (it is exact below `_MR_DETERMINISTIC_BELOW`) is named whole; any
+    other splits into its cyclotomic pieces, checked to multiply back to
+    it, and each distinct piece is taken once: named whole when proven,
+    else for a piece for d divided only by the swept primes 1 mod
+    lcm(2, d), read off the flags with one strided slice, and the largest
+    prime of d, until what is left is 1 or proven.  A proven prime above
+    the largest swept prime can only hit p = x.  Second, the rows (i, j, r)
+    whose rough part r, the product of what is left of their pieces -- a
+    composite of primes the flags do not set, or a prime too large to
+    prove -- is above 1; a sweep that leaves primes out hands theirs to it.
     """
     rows = _row_table(k)
-    rough = [m // (m & -m) for _, _, m in rows]  # row gcds are odd
     kills: list[list[tuple[int, int]]] = [[] for _ in rows]
+    rough = [1] * len(rows)
 
-    def name(q: int, i: int, j: int) -> None:
-        for x in _bad_residues(q, i, j):
-            if pow(x, i, q) != q - 1 or (2 * pow(x, j, q) + 1) % q:
-                raise ArithmeticError(f"k={k}, row {i}: {x} mod {q} is not bad")
-            kills[i].append((x, q))
+    def proven(n: int) -> bool:
+        return n == 1 or n < _MR_DETERMINISTIC_BELOW and is_prime(n)
 
-    def prove(i: int, j: int) -> None:
-        if 1 < rough[i] < _MR_DETERMINISTIC_BELOW and is_prime(rough[i]):
-            name(rough[i], i, j)
-            rough[i] = 1
+    @functools.cache
+    def divide(d: int, piece: int) -> tuple[list[int], int]:
+        """The primes of a piece for d that the sweep names, and what is left."""
+        if proven(piece):
+            return [piece], 1
+        primes, left, step = [], piece, d if d % 2 == 0 else 2 * d
+        top = math.gcd(piece, d)  # the largest prime of d, if it divides the piece
+        tops = [top] if top < len(flags) and flags[top] else []
+        for q in chain(tops, compress(range(1, len(flags), step), flags[1::step])):
+            if left % q == 0:
+                primes.append(q)
+                while left % q == 0:
+                    left //= q
+                if proven(left):
+                    return primes + [left] * (left > 1), 1
+        return primes, left
 
-    for i, j, _ in rows:
-        prove(i, j)
-    left = math.prod(set(rough))
-    # Lazy: the flags are read only as far as the division goes.
-    for q in odd_flagged(flags) if left > 1 else ():
-        if left % q:
-            continue
-        for i, j, _ in rows:
-            if rough[i] % q == 0:
-                while rough[i] % q == 0:
-                    rough[i] //= q
-                name(q, i, j)
-                prove(i, j)
-        if (left := math.prod(set(rough))) == 1:
-            break
+    @functools.cache
+    def split(odd: int) -> tuple[list[int], int]:
+        """The primes of odd the sweep names, in increasing order, and the rest."""
+        if proven(odd):
+            return [odd] * (odd > 1), 1
+        pieces = _cyclotomic_pieces(odd)
+        if math.prod(piece for _, piece in pieces) != odd:
+            raise ArithmeticError(f"the cyclotomic pieces of {odd} do not multiply to it")
+        parts = [divide(d, piece) for d, piece in pieces]
+        return sorted(set().union(*(p for p, _ in parts))), math.prod(r for _, r in parts)
+
+    for i, j, m in rows:
+        primes, rough[i] = split(m // (m & -m))  # row gcds are odd
+        for q in primes:
+            for x in _bad_residues(q, i, j):
+                if pow(x, i, q) != q - 1 or (2 * pow(x, j, q) + 1) % q:
+                    raise ArithmeticError(f"k={k}, row {i}: {x} mod {q} is not bad")
+                kills[i].append((x, q))
     return kills, [(i, j, r) for (i, j, _), r in zip(rows, rough) if r > 1]
 
 
@@ -227,7 +242,7 @@ def _survivor_counts(flags: bytes, k: int) -> list[int]:
     primes; in any other batch each prime with g != 1 tests its rows still
     alive with gcd(r, g) in place of the row modulus, which still has every
     rough prime of the row gcd.  At the primes up to 2*10^5 no rough part is
-    left for any k <= 52, 54, 56 or 60.
+    left for any k <= 64 but 53, 55, 57, 59, 61 and 63.
     """
     kills, rough = _prime_tables(flags, k)
     groups = [classes for classes in kills if classes]

@@ -29,6 +29,7 @@ from twogen.semigroup import count_two_generator, enumerate_by_genus
 from twogen.synthesis import synthesize
 
 from sweep_flags import flags_of
+from trial_division_tables import oracle_survivor_counts, table_mismatches, trial_division_tables
 
 
 def test_special_factorization_examples():
@@ -255,7 +256,7 @@ def test_bad_residues_match_a_scan_of_both_congruences():
 def test_tables_list_the_factors_of_the_derived_rows():
     # Row by row, with no sampling: the kill classes of a row are the
     # factors X(a,q) the derivation lists for it, at every k <= 60 but the
-    # five whose rough parts keep a composite of two primes above 2*10^5.
+    # four whose rough parts keep a composite of two primes above 2*10^5.
     # There, a row's kill classes are those of its other primes.
     flags = odd_prime_flags(200_000)
     assert flags.count(1) == 17_983
@@ -274,7 +275,26 @@ def test_tables_list_the_factors_of_the_derived_rows():
         assert killed == derived, k
         if rough:
             rough_ks.append(k)
-    assert rough_ks == [53, 55, 57, 58, 59]
+    assert rough_ks == [53, 55, 57, 59]
+
+
+@pytest.mark.parametrize("bound, top", [(20_000, 128), (200_000, 64)])
+def test_prime_tables_match_trial_division_by_every_swept_prime(bound, top):
+    # Against the slow path it replaced: each row names at least the primes
+    # trial division names, and keeps a rough part only where it does.
+    flags = odd_prime_flags(bound)
+    for k in range(1, top + 1):
+        tables, oracle = _prime_tables(flags, k), trial_division_tables(flags, k)
+        assert table_mismatches(k, tables, oracle) == [], k
+        assert _survivor_counts(flags, k) == oracle_survivor_counts(flags, k), k
+
+
+def test_prime_tables_refuse_pieces_that_do_not_multiply_back(monkeypatch):
+    # A split that dropped a piece would drop the kill classes of its primes.
+    real = counting_mod._cyclotomic_pieces
+    monkeypatch.setattr(counting_mod, "_cyclotomic_pieces", lambda n: real(n)[1:])
+    with pytest.raises(ArithmeticError, match="pieces of 2047 do not multiply"):
+        _prime_tables(odd_prime_flags(100), 12)
 
 
 def test_no_rough_part_is_left_up_to_k_52():
@@ -338,24 +358,27 @@ def test_bad_residues_match_sympy_at_large_row_primes():
 def test_dependence_check_builds_the_tables_of_a_dense_sweep(monkeypatch):
     # The trial divisors of the tables are the swept primes, so
     # `dependence_check` sweeps every odd prime and skips the primes of M(k)
-    # only as it reads the counts back: flags without them would hand their
-    # rows to the rough screen.
+    # only as it reads the counts back: flags without them would hand the
+    # composite pieces of their rows to the rough screen.
     built = []
     real = counting_mod._prime_tables
     monkeypatch.setattr(
         counting_mod, "_prime_tables", lambda flags, k: built.append(real(flags, k)) or built[-1]
     )
     small = math.prod(odd_primes_up_to(10**4))
-    for k in (9, 60):
+    for k in (9, 11, 60):
         built.clear()
         dependence_check(k, 10**4)
         dense = real(odd_prime_flags(10**4), k)
         assert built == [dense], k
         # No rough part keeps a prime the sweep could have named.
         assert all(math.gcd(r, small) == 1 for _, _, r in dense[1]), k
+        # Every piece at k = 9 is prime and named whole.  At k = 11, row 9 has
+        # 2^9 + 1 = 3^3 * 19, whose piece Phi_18(2) = 3 * 19 loses both primes.
         thinned = real(flags_of(_dependence_primes(k)), k)
-        assert any(math.gcd(r, small) > 1 for _, _, r in thinned[1]), k
-        assert (dense[1] == []) == (k == 9)
+        assert any(math.gcd(r, small) > 1 for _, _, r in thinned[1]) == (k != 9), k
+        assert (9, 2, 57) in thinned[1] or k != 11
+        assert (dense[1] == []) == (k != 60)
 
 
 def _screen_hits(k: int) -> list[int]:
