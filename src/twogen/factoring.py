@@ -329,8 +329,9 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
     else:
         return []
     top = 2 * m if plus else m
+    low = [d for d in range(1, math.isqrt(top) + 1) if top % d == 0]
     phi: dict[int, int] = {}
-    for d in (d for d in range(1, top + 1) if top % d == 0):
+    for d in low + [top // d for d in reversed(low) if d * d != top]:
         value = 2**d - 1
         for j, v in phi.items():
             if d % j == 0:

@@ -3,15 +3,14 @@
 A numerical semigroup is a subset of the non-negative integers containing
 0, closed under addition, with finite complement (the gap set; its size is
 the genus).  This module provides the two-generator basics -- genus via
-Sylvester's formula, explicit gap sets -- and an exhaustive census of all
-numerical semigroups up to a genus bound.  The census is one depth-first
-walk of the standard tree, whose children remove one minimal generator
-beyond the Frobenius number; each child's gaps and minimal generators
-follow from its parent's (Fromentin & Hivert, *Exploring the tree of
-numerical semigroups*, 2016).  As there, the walk runs on bit vectors: each
-node is a generator mask and a gap mask, and a census level holds each
-semigroup as the two packed into one int.  The census is the independent
-oracle the rest of the package is validated against.
+Sylvester's formula, explicit gap sets -- and an exhaustive census up to a
+genus bound, the oracle the rest of the package is validated against: one
+depth-first walk of the standard tree, whose children remove one minimal
+generator beyond the Frobenius number.  On bit masks, each child's gaps and
+minimal generators follow from its parent's (Fromentin & Hivert, *Exploring
+the tree of numerical semigroups*, 2016); the last genus is built straight
+from its parents, and the counts take its size from their generators.  A
+census level holds each semigroup as its two masks packed into one int.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ GENUS_CAP = 25
 # semigroup of genus g <= GENUS_CAP is at most 2g + 1 < SHIFT.
 SHIFT = 2 * GENUS_CAP + 2
 _GENERATORS = (1 << SHIFT) - 1
+_CHUNK = 1024  # entries added to the last level between two steps of the walk
 
 
 class NotCoprime(ValueError):
@@ -87,10 +87,10 @@ def _check_genus(max_genus: int) -> None:
         raise BudgetExceeded(f"genus {max_genus} exceeds the enumeration cap {GENUS_CAP}")
 
 
-def _walk(max_genus: int) -> Iterator[tuple[int, int, int]]:
-    """Preorder walk of the semigroup tree down to max_genus, yielding
-    (genus, generator mask, gap mask); bit s of a mask is set iff s is a
-    minimal generator, resp. a gap.
+def _walk(max_genus: int, levels: list[list[int]], root: int = 0b10) -> Iterator[None]:
+    """Preorder walk of the semigroup tree from the entry root to max_genus
+    that appends each entry to `levels[genus]`.  It yields each time
+    `levels[max_genus]` has grown by _CHUNK entries, and at the end.
 
     The child S' = S minus m, for a minimal generator m above the Frobenius
     number F of S, has the gaps of S plus m.  If m is the multiplicity mu,
@@ -101,34 +101,58 @@ def _walk(max_genus: int) -> Iterator[tuple[int, int, int]]:
     no s in 1..m+mu-1 has both s and m + mu - s in S', one bitset test
     against the gap mask reflected at width W, whose bit W - h is set iff
     h is a gap.  Children are visited in increasing m, so each genus comes
-    out sorted by gap tuple, the path of the node in the tree.
+    out sorted by gap tuple, the path of the node in the tree.  Those of
+    genus max_genus are built straight from their parent, never stacked.
     """
     # Gaps are below 2g and m + mu <= 3g + 2 for a parent of genus g < max_genus.
     width = 4 * max_genus + 4
+    gens, holes = root & _GENERATORS, root >> SHIFT
+    mirror, mu = int(f"{holes:0{width + 1}b}"[::-1], 2), (gens & -gens).bit_length() - 1
     # (generators, gaps, reflected gaps, frobenius + 1, genus, multiplicity)
-    stack = [(0b10, 0, 0, 0, 0, 1)]
+    stack = [(gens, holes, mirror, holes.bit_length(), holes.bit_count(), mu)]
+    deepest, mark = levels[max_genus], _CHUNK
     while stack:
         gens, holes, mirror, above, genus, mu = stack.pop()
-        yield genus, gens, holes
-        if genus == max_genus:
-            continue
+        levels[genus].append(gens | holes << SHIFT)
         genus += 1
-        # Push in decreasing m so that the smallest m is popped first.
-        m = gens.bit_length() - 1
-        while m >= above:
-            bit = 1 << m
-            child_holes = holes | bit
-            child_mirror = mirror | 1 << (width - m)
-            if m == mu:
-                ordinary = ((bit << 1) - 1) << (m + 1)  # m+1..2m+1
-                stack.append((ordinary, child_holes, child_mirror, m + 1, genus, m + 1))
-            else:
-                child_gens = gens ^ bit
-                new = m + mu
-                if not ((1 << new) - 2) & ~(child_holes | child_mirror >> (width - new)):
+        if genus < max_genus:
+            # Push in decreasing m so that the smallest m is popped first.
+            m = gens.bit_length() - 1
+            while m >= above:
+                bit = 1 << m
+                child_holes, child_mirror = holes | bit, mirror | 1 << (width - m)
+                if m == mu:  # the generators m+1..2m+1
+                    child_gens, child_mu = ((bit << 1) - 1) << (m + 1), m + 1
+                else:
+                    child_gens, child_mu, new = gens ^ bit, mu, m + mu
+                    if not ((1 << new) - 2) & ~(child_holes | child_mirror >> (width - new)):
+                        child_gens |= 1 << new
+                stack.append((child_gens, child_holes, child_mirror, m + 1, genus, child_mu))
+                m = (gens & (bit - 1)).bit_length() - 1
+        elif genus == max_genus:
+            rest = gens >> above << above  # the same children, in increasing m
+            while rest:
+                bit = rest & -rest
+                rest, m, child_holes = rest ^ bit, bit.bit_length() - 1, holes | bit
+                child_gens, new, child_mirror = gens ^ bit, m + mu, mirror | 1 << (width - m)
+                if m == mu:
+                    child_gens = ((bit << 1) - 1) << (m + 1)
+                elif not ((1 << new) - 2) & ~(child_holes | child_mirror >> (width - new)):
                     child_gens |= 1 << new
-                stack.append((child_gens, child_holes, child_mirror, m + 1, genus, mu))
-            m = (gens & (bit - 1)).bit_length() - 1
+                deepest.append(child_gens | child_holes << SHIFT)
+            if len(deepest) >= mark:
+                yield
+                mark = len(deepest) + _CHUNK
+    yield
+
+
+def _steps(max_genus: int, root: int = 0b10) -> Iterator[list[list[int]]]:
+    """The level lists of `_walk` at each of its steps, emptied after each."""
+    levels: list[list[int]] = [[] for _ in range(max_genus + 1)]
+    for _ in _walk(max_genus, levels, root):
+        yield levels
+        for level in levels:
+            level.clear()
 
 
 def enumerate_by_genus(max_genus: int) -> list[list[int]]:
@@ -136,15 +160,13 @@ def enumerate_by_genus(max_genus: int) -> list[list[int]]:
 
     Each semigroup is one int, `generators | gaps << SHIFT`: bit s is set
     iff s is a minimal generator, and bit SHIFT + s iff s is a gap.  Genus 0
-    is `[0b10]`, the generator 1 and no gap.  Children of a semigroup S are
-    S minus one minimal generator above the Frobenius number, which reaches
-    every semigroup exactly once.  Levels are sorted by gap set, so output
-    order is deterministic.
+    is `[0b10]`, the generator 1 and no gap.  Levels are sorted by gap set,
+    so output order is deterministic.
     """
     _check_genus(max_genus)
     levels: list[list[int]] = [[] for _ in range(max_genus + 1)]
-    for genus, gens, holes in _walk(max_genus):
-        levels[genus].append(gens | holes << SHIFT)
+    for _ in _walk(max_genus, levels):
+        pass
     return levels
 
 
@@ -152,24 +174,32 @@ def count_by_genus(max_genus: int) -> list[tuple[int, int]]:
     """(total, two-generator) census counts for genus 0..max_genus.
 
     Equal to the sizes and `count_two_generator` values of the levels of
-    `enumerate_by_genus`, without building any level.
+    `enumerate_by_genus`, keeping no level.  The walk stops at the parents of
+    the last genus: each has a child per generator above its Frobenius number,
+    with at most one generator fewer, so only those of at most three go on.
     """
     _check_genus(max_genus)
-    totals = [0] * (max_genus + 1)
-    pairs = [0] * (max_genus + 1)
-    for genus, gens, _ in _walk(max_genus):
-        totals[genus] += 1
-        if gens.bit_count() == 2:
-            pairs[genus] += 1
+    if max_genus == 0:
+        return [(1, 0)]
+    totals, pairs = [0] * (max_genus + 1), [0] * (max_genus + 1)
+    for levels in _steps(max_genus - 1):
+        for entry in levels[-1]:
+            gens = entry & _GENERATORS
+            totals[-1] += (gens >> (entry >> SHIFT).bit_length()).bit_count()
+            if gens.bit_count() <= 3:
+                pairs[-1] += sum(count_two_generator(c[-1]) for c in _steps(max_genus, entry))
+        for g, level in enumerate(levels):
+            totals[g] += len(level)
+            pairs[g] += count_two_generator(level)
     return list(zip(totals, pairs))
 
 
 def masks_of_genus(genus: int) -> Iterator[tuple[int, int]]:
     """(generator mask, gap mask) of each semigroup of the given genus, in
-    the order of `enumerate_by_genus(genus)[genus]`, one at a time from the
-    walk.  The genus is checked at the call, before any item is read."""
+    the order of `enumerate_by_genus(genus)[genus]`, _CHUNK or so at a time
+    from the walk.  The genus is checked at the call, before any is read."""
     _check_genus(genus)
-    return ((gens, holes) for g, gens, holes in _walk(genus) if g == genus)
+    return ((e & _GENERATORS, e >> SHIFT) for levels in _steps(genus) for e in levels[-1])
 
 
 def count_two_generator(level: list[int]) -> int:

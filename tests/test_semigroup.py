@@ -6,12 +6,14 @@ from itertools import combinations
 import pytest
 from census_entries import decode, pack, unpack
 
+from twogen import semigroup
+from twogen.counting import count_special
 from twogen.semigroup import (
+    GENUS_CAP,
     SHIFT,
     BudgetExceeded,
     NotCoprime,
     TwoGeneratorSemigroup,
-    _walk,
     count_by_genus,
     count_two_generator,
     enumerate_by_genus,
@@ -288,14 +290,26 @@ def _walk_tuples(max_genus):
             stack.append((child_gens, gaps + (m,), child_holes, m))
 
 
-def _bits(mask):
-    return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
-
-
 def test_walk_matches_tuple_walk():
     for max_genus in range(17):
-        walked = [(g, _bits(gens), _bits(holes)) for g, gens, holes in _walk(max_genus)]
-        assert walked == list(_walk_tuples(max_genus)), max_genus
+        grouped = [[] for _ in range(max_genus + 1)]
+        for g, gens, gaps in _walk_tuples(max_genus):
+            grouped[g].append(pack(_mask(gens), _mask(gaps)))
+        assert enumerate_by_genus(max_genus) == grouped, max_genus
+
+
+def test_walk_chunk_size_changes_no_output(monkeypatch):
+    # A chunk of one entry hands the lists over after every parent of the
+    # last genus, one of 10^9 only at the end; the default, 1,024, is
+    # crossed from genus 14 on.
+    def outputs(g):
+        return enumerate_by_genus(g), count_by_genus(g), list(masks_of_genus(g))
+
+    expected = [outputs(g) for g in range(17)]
+    for chunk in (1, 10**9):
+        monkeypatch.setattr(semigroup, "_CHUNK", chunk)
+        for g in range(17):
+            assert outputs(g) == expected[g], (chunk, g)
 
 
 def test_count_by_genus_matches_tuple_walk():
@@ -307,3 +321,14 @@ def test_count_by_genus_matches_tuple_walk():
     expected = list(zip(totals, pairs))
     for g in range(19):
         assert count_by_genus(g) == expected[: g + 1], g
+
+
+# A007323 on from genus 21, up to the cap.
+A007323_FROM_21 = (62194, 103246, 170963, 282828, 467224)
+
+
+def test_count_by_genus_at_the_cap_matches_oeis_and_count_special():
+    counts = count_by_genus(GENUS_CAP)
+    assert tuple(total for total, _ in counts) == A007323 + A007323_FROM_21
+    two_generator = [pairs for _, pairs in counts]
+    assert two_generator == [0] + [count_special(g) for g in range(1, GENUS_CAP + 1)]
