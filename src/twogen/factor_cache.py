@@ -12,8 +12,9 @@ factoring.  Every entry is re-verified on load (`Factorization.check`:
 structure and product first, an exponent too large for its value refused
 before its power is formed, then a primality check of each listed prime)
 so a corrupted file is rejected loudly instead of silently poisoning
-downstream results.  A prime listed in several entries is proven once per
-load.  Each entry is kept as the verified `Factorization` record itself.
+downstream results.  A cache proves each prime once: `load`, `put` and
+`factoring.factorize` share its set of primes proven by `is_prime`, and
+nothing else enters it.  Each entry is kept as the verified record itself.
 
 Concurrency: reads are safe from any number of threads; mutation follows a
 single-writer discipline and save() is atomic (write to temp, then rename).
@@ -44,10 +45,11 @@ def format_factors(factors: tuple[tuple[int, int], ...]) -> str:
 
 
 class FactorCache:
-    """In-memory map from integer to its verified Factorization record."""
+    """Map from integer to its verified Factorization, and the primes proven."""
 
     def __init__(self):
         self._entries: dict[int, Factorization] = {}
+        self.proven: set[int] = set()
         self.dirty = False
 
     def __len__(self) -> int:
@@ -60,8 +62,8 @@ class FactorCache:
         return self._entries.get(n)
 
     def put(self, fact: Factorization) -> None:
-        """Store a factorization after re-verifying it."""
-        fact.check()
+        """Store a factorization after re-verifying it, proving new primes."""
+        fact.check(self.proven)
         if self._entries.get(fact.value) != fact:
             self._entries[fact.value] = fact
             self.dirty = True
@@ -76,7 +78,6 @@ class FactorCache:
         path = Path(path)
         if not path.exists():
             return cache
-        proven: set[int] = set()  # each distinct prime is proven once
         for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -101,7 +102,7 @@ class FactorCache:
                 raise ParseError(lineno, f"duplicate entry for {value}")
             fact = Factorization(value, tuple(factors))
             try:
-                fact.check(proven)
+                fact.check(cache.proven)
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
             cache._entries[value] = fact
@@ -130,13 +131,16 @@ class FactorCache:
 
 class LazyFactorCache(FactorCache):
     """The cache of one file, read by `FactorCache.load` the first time an
-    entry is looked up, stored or counted, so that a run that never touches
-    an entry never reads the file."""
+    entry is looked up, stored or counted, or its proven primes are asked
+    for, so that a run that never touches an entry never reads the file."""
 
     def __init__(self, path):
         self.path = path
         self.dirty = False
 
     @cached_property
-    def _entries(self) -> dict[int, Factorization]:
-        return FactorCache.load(self.path)._entries
+    def _loaded(self) -> FactorCache:
+        return FactorCache.load(self.path)
+
+    _entries = property(lambda self: self._loaded._entries)
+    proven = property(lambda self: self._loaded.proven)

@@ -116,8 +116,9 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _perfect_power(n: int) -> tuple[int, int] | None:
-    """(base, k) with base**k == n and k >= 2, or None."""
-    for k in range(2, n.bit_length() + 1):
+    """(base, k) with base**k == n for the least k >= 2, or None.  Only prime
+    k are tried: the least k is prime, as base**(ab) == (base**a)**b."""
+    for k in primes_up_to(n.bit_length()):
         r = _iroot(n, k)
         if r < 2:
             return None
@@ -351,10 +352,15 @@ def _cyclotomic_pieces(n: int) -> list[tuple[int, int]]:
 
 
 @functools.cache
+def _small_primes() -> tuple[int, ...]:
+    """The odd primes up to TRIAL_DIVISION_BOUND, sieved on the first call."""
+    return tuple(odd_primes_up_to(TRIAL_DIVISION_BOUND))
+
+
+@functools.cache
 def _small_prime_product() -> int:
-    """The product of the odd primes up to TRIAL_DIVISION_BOUND, built on
-    the first call."""
-    return math.prod(odd_primes_up_to(TRIAL_DIVISION_BOUND))
+    """The product of `_small_primes()`, built on the first call."""
+    return math.prod(_small_primes())
 
 
 def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> Factorization:
@@ -362,13 +368,15 @@ def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> F
     by one gcd with their product, then rho, p-1 and rho again run on each
     composite cofactor (see _split).
 
-    The primes of the gcd are read off by the odd d in increasing order,
-    up to the root of what is left of it.  When n = 2^j - 1 or 2^j + 1, the
-    cofactor left by the gcd is first split along the cyclotomic and
-    Aurifeuillian pieces of n, and each piece is hunted with the rho map
-    and p-1 exponent matching its primes' congruence.  Consults and updates
-    `cache` (a factor_cache.FactorCache) when given; only n itself is
-    stored, never a piece.  Raises FactorizationTimeout once
+    The primes of the gcd are read off the odd primes up to the bound in
+    increasing order, up to the root of what is left of it.  When n =
+    2^j - 1 or 2^j + 1, the cofactor left by the gcd is first split along
+    the cyclotomic and Aurifeuillian pieces of n, and each piece is hunted
+    with the rho map and p-1 exponent matching its primes' congruence.
+    Consults and updates `cache` (a factor_cache.FactorCache) when given;
+    only n itself is stored, never a piece.  A cofactor outside the cache's
+    proven primes (a set of the call's own without a cache) is proven by
+    is_prime and joins them.  Raises FactorizationTimeout once
     `max_iterations` modular squarings and multiplications are spent.
     """
     if n < 1:
@@ -377,22 +385,21 @@ def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> F
         hit = cache.get(n)
         if hit is not None:
             return hit
+    proven = set() if cache is None else cache.proven
     counts: dict[int, int] = {}
     m = n
     while m % 2 == 0:
         counts[2] = counts.get(2, 0) + 1
         m //= 2
     g = math.gcd(m, _small_prime_product())
-    # g is square-free, so once the primes below an odd d are out of it, d
-    # divides it only if d is prime; what is left above the root of g is 1
-    # or a prime.
+    # g is square-free: what is left of it above the root is 1 or a prime.
     found = []
-    d = 3
-    while d * d <= g:
-        if g % d == 0:
-            found.append(d)
-            g //= d
-        d += 2
+    for q in _small_primes():
+        if q * q > g:
+            break
+        if g % q == 0:
+            found.append(q)
+            g //= q
     if g > 1:
         found.append(g)
     for d in found:
@@ -412,7 +419,8 @@ def factorize(n: int, cache=None, max_iterations: int = DEFAULT_RHO_BUDGET) -> F
     budget = max_iterations
     while pending:
         c, e = pending.pop()
-        if is_prime(c):
+        if c in proven or is_prime(c):
+            proven.add(c)
             counts[c] = counts.get(c, 0) + 1
             continue
         power = _perfect_power(c)

@@ -37,16 +37,19 @@ def _grouped(terms):
     Returns (remaining [(factors, count)], groups [(factor, inner_const,
     inner_terms [(cofactors, count)])]).  A factor is pulled when it appears
     in at least two summands, one of which has another factor to leave
-    behind; this reproduces groupings like X*(3 + Y + Z).  The terms come in
-    canonical order, so the cofactors left by one factor do too.
+    behind; this reproduces groupings like X*(3 + Y + Z).  Only factors held
+    by two products, or by one counted twice, are sorted and scanned: counts
+    only fall as groups form, so no other factor can group.  The terms come
+    in canonical order, so the cofactors left by one factor do too.
     """
     counts = Counter(term.factors for term in terms)  # in order of first appearance
     holders: dict = {}  # factor -> the summands that have it, in that order
     for factors in counts:
         for x in factors:
             holders.setdefault(x, []).append(factors)
+    shared = [x for x, held in holders.items() if len(held) > 1 or counts[held[0]] > 1]
     groups = []
-    for x in sorted(holders, key=_sort_key):
+    for x in sorted(shared, key=_sort_key):
         members = [(f, counts[f]) for f in holders[x] if f in counts]
         if sum(c for _, c in members) < 2 or all(len(f) == 1 for f, _ in members):
             continue

@@ -14,6 +14,7 @@ import twogen.arith
 import twogen.factoring
 from twogen.arith import power_roots, primitive_root
 from twogen.factoring import (
+    DEFAULT_RHO_BUDGET,
     PM1_B1,
     PM1_B2,
     PM1_WHEEL,
@@ -23,6 +24,7 @@ from twogen.factoring import (
     Factorization,
     _advance,
     _cyclotomic_pieces,
+    _iroot,
     _perfect_power,
     _pm1_cost,
     _pollard_pm1,
@@ -314,6 +316,65 @@ def test_factorize_timeout_on_tiny_budget():
     assert info.value.n == n
     assert info.value.iterations >= 10
     assert f"after {info.value.iterations} rho iterations" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (10007**6, ((10007, 6),)),
+        (10009**4 * 7, ((7, 1), (10009, 4))),
+        (3**40, ((3, 40),)),
+        ((2**61 - 1) ** 4 * 10007**9, ((10007, 9), (2**61 - 1, 4))),
+    ],
+    ids=["10007^6", "10009^4*7", "3^40", "(2^61-1)^4*10007^9"],
+)
+def test_factorize_perfect_powers_with_composite_exponents(n, expected):
+    assert factorize(n).factors == _factorize_plain(n) == expected
+
+
+def _perfect_power_all_exponents(n: int) -> tuple[int, int] | None:
+    """The former `_perfect_power`, kept as an oracle: every exponent
+    k >= 2 is tried, not only the primes."""
+    for k in range(2, n.bit_length() + 1):
+        r = _iroot(n, k)
+        if r < 2:
+            return None
+        if r**k == n:
+            return r, k
+    return None
+
+
+def test_perfect_power_tries_only_prime_exponents_with_the_same_result():
+    for b in range(2, 61):
+        for k in range(1, 13):
+            assert _perfect_power(b**k) == _perfect_power_all_exponents(b**k), (b, k)
+    rng = random.Random(1009)
+    others = [n for n in range(1, 200) if _perfect_power_all_exponents(n) is None]
+    while len(others) < 1_000:
+        n = rng.randrange(2, 2 ** rng.randint(2, 300))
+        if _perfect_power_all_exponents(n) is None:
+            others.append(n)
+    for n in others:
+        assert _perfect_power(n) is None, n
+
+
+@pytest.mark.parametrize(
+    "n, budget, iterations, stage",
+    [
+        (1000003 * 1000033, 10, 10, "rho"),
+        # The number `twogen derive --k 129` is blocked on, under the
+        # default budget.
+        (2**128 + 1, DEFAULT_RHO_BUDGET, 10_000_167, "p-1"),
+    ],
+    ids=["tiny budget", "F7"],
+)
+def test_factorize_timeout_names_the_same_cofactor_iterations_and_stage(
+    n, budget, iterations, stage
+):
+    with pytest.raises(FactorizationTimeout) as info:
+        factorize(n, max_iterations=budget)
+    assert (info.value.n, info.value.cofactor) == (n, n)
+    assert (info.value.iterations, info.value.stage) == (iterations, stage)
 
 
 def test_factorize_timeout_names_the_whole_fermat_number():
@@ -623,6 +684,20 @@ def test_small_prime_gcd_matches_trial_division_up_to_2e4():
 )
 def test_small_prime_gcd_edge_cases(n):
     assert factorize(n).factors == _factorize_plain(n)
+
+
+def test_small_prime_read_off_matches_trial_division_on_random_products():
+    # Products of primes below the bound, the primes nearest it drawn as
+    # often as all the others, with squares and cubes among them.
+    small = [2, *odd_primes_up_to(TRIAL_DIVISION_BOUND)]
+    near = [p for p in small if p > 9_000]
+    rng = random.Random(20261020)
+    for _ in range(10_000):
+        n = math.prod(
+            rng.choice(near if rng.random() < 0.5 else small) ** rng.choice([1, 1, 2, 3])
+            for _ in range(rng.randint(1, 5))
+        )
+        assert factorize(n).factors == _factorize_plain(n), n
 
 
 @pytest.mark.parametrize("small", [3, 3 * 8191, 9973**2], ids=["3", "3*8191", "9973^2"])

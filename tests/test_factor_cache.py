@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,66 @@ def test_load_proves_each_distinct_prime_once(tmp_path, monkeypatch):
     proven.clear()
     FactorCache.load(path)  # a new load proves them again
     assert sorted(proven) == [2, 3, 5, 19]
+
+
+def _counting_is_prime(monkeypatch) -> list[int]:
+    """Route `is_prime` in `factoring` through a double; returns the list of
+    the numbers it is asked about."""
+    asked: list[int] = []
+    real = twogen.factoring.is_prime
+
+    def counting(n):
+        asked.append(n)
+        return real(n)
+
+    monkeypatch.setattr(twogen.factoring, "is_prime", counting)
+    return asked
+
+
+def test_a_cache_proves_each_stored_prime_once(monkeypatch):
+    asked = _counting_is_prime(monkeypatch)
+    moduli = {row_modulus(k, i) for k in range(1, 129) for i in range(k + 1)} - {1, 2}
+    assert len(moduli) == 189
+    cache = FactorCache()
+    for m in sorted(moduli):
+        factorize(m, cache)
+    stored = {p for m in cache.values() for p, _ in cache.get(m).factors}
+    proofs = Counter(p for p in asked if p in stored)
+    # Every stored prime was proven in this process, and only once.
+    assert proofs == Counter(stored)
+    assert cache.proven == stored
+
+
+def test_put_proves_what_the_cache_has_not_proven(monkeypatch):
+    asked = _counting_is_prime(monkeypatch)
+    cache = FactorCache()
+    for n in (15, 2**61 - 1, 3 * (2**61 - 1)):
+        factorize(n, cache)
+    assert sorted(asked) == [3, 5, 2**61 - 1]
+    asked.clear()
+    # A composite listed as a prime is refused beside proven primes.
+    with pytest.raises(ValueError, match="^15 is not prime$"):
+        cache.put(Factorization(45, ((3, 1), (15, 1))))
+    with pytest.raises(ValueError, match="multiply to"):
+        cache.put(Factorization(2**61 - 1, ((3, 1), (2**61 - 1, 1))))
+    assert asked == [15] and 45 not in cache
+    asked.clear()
+    # A prime the cache has not seen is proven, the others are not.
+    cache.put(Factorization(3 * 5 * 10007, ((3, 1), (5, 1), (10007, 1))))
+    assert asked == [10007]
+    # Its own set: a new cache proves them again.
+    asked.clear()
+    FactorCache().put(Factorization(15, ((3, 1), (5, 1))))
+    assert asked == [3, 5]
+
+
+def test_lazy_cache_reads_its_file_for_its_proven_primes(tmp_path):
+    path = tmp_path / "factors.txt"
+    path.write_text("10 = 2 * 5\n")
+    lazy = LazyFactorCache(path)
+    assert lazy.proven == {2, 5}
+    assert factorize(20, lazy).factors == ((2, 2), (5, 1))
+    assert lazy.proven == {2, 5} and len(lazy) == 2
 
 
 @pytest.mark.parametrize("name", ["missing/factors.txt", "directory"])

@@ -524,9 +524,35 @@ def _grouped_by_rescan(terms):
 
 
 def test_grouping_matches_the_rescan():
-    for k in range(1, 63):
-        terms = synthesize(k).terms
+    cache = FactorCache()
+    for k in range(1, 129):
+        terms = synthesize(k, cache).terms
         assert rendering._grouped(terms) == _grouped_by_rescan(terms), k
+
+
+X, Y, Z, W = Indicator(2, 3), Indicator(1, 5), Indicator(3, 7), Indicator(4, 11)
+
+
+@pytest.mark.parametrize(
+    "products",
+    [
+        # One summand counted twice groups: X*(2*Y).
+        [(X, Y), (X, Y)],
+        [(X, Y), (X, Y), (Z,)],
+        # X is held only by single-factor summands, so it is never pulled.
+        [(X,), (X,), (Y, Z)],
+        # X is held by two different summands.
+        [(X, Y), (X, Z), (W,)],
+        [(X,), (X, Y), (Z, W)],
+        # Each factor is held once, by a summand of count 1.
+        [(X, Y), (Z, W)],
+    ],
+    ids=["X*Y twice", "X*Y twice and Z", "X alone twice", "X in two products",
+         "X alone and in X*Y", "nothing shared"],
+)
+def test_grouping_matches_the_rescan_on_small_multisets(products):
+    terms = [ProductTerm(factors) for factors in products]
+    assert rendering._grouped(terms) == _grouped_by_rescan(terms)
 
 
 SMALL_FACTORS = [Indicator(a, q) for q in (3, 5, 7) for a in range(q)]
